@@ -1,14 +1,14 @@
 //! Service contention: warm requests/second under many pipelined
 //! connections, one worker vs many.
 //!
-//! The lock-free L0 tier's pitch is that warm requests stop serializing on
-//! the shared session lock: after the first visit each worker thread
-//! answers repeats from its own thread-local handle, so adding workers
-//! should multiply warm throughput instead of queueing on a mutex.  This
-//! harness measures exactly that: it spawns a real `specan serve` twice —
-//! once with a single worker, once with the contended worker count — feeds
-//! each N concurrent pipelined connections submitting the same warm panel,
-//! and reports the aggregate warm req/s of both together with their ratio.
+//! Warm requests hold the shared session lock only for one map probe,
+//! while the request's real work — running the panel and rendering —
+//! happens outside it, so adding workers should multiply warm throughput
+//! instead of queueing on the mutex.  This harness measures exactly that:
+//! it spawns a real `specan serve` twice — once with a single worker, once
+//! with the contended worker count — feeds each N concurrent pipelined
+//! connections submitting the same warm panel, and reports the aggregate
+//! warm req/s of both together with their ratio.
 //! Every warm response is checked byte-identical, post timing-strip, to
 //! its cold counterpart, so the scaling never comes at the price of
 //! determinism.

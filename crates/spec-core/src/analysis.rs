@@ -20,7 +20,7 @@ use spec_vcfg::Vcfg;
 use crate::classify::{classify_accesses, AnalysisResult};
 use crate::engine::SpecProblem;
 use crate::options::AnalysisOptions;
-use crate::session::{Analyzer, RoundCache, RoundResult};
+use crate::session::{Analyzer, RoundCache, RoundKey, RoundResult};
 use crate::state::SpecState;
 use crate::summary::SummaryCtx;
 
@@ -92,6 +92,8 @@ impl CacheAnalysis {
 /// `round_cache`, so configurations that revisit a round another
 /// configuration already solved (most prominently the shared zero-bounds
 /// seeding pass of dynamic depth bounding) skip straight to its result.
+/// The key of every round the run uses, hit or solved, is appended to
+/// `touched` in order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_prepared(
     options: &AnalysisOptions,
@@ -102,6 +104,7 @@ pub(crate) fn solve_prepared(
     widen_nodes: &HashSet<usize>,
     round_cache: &RoundCache,
     summary: SummaryCtx<'_>,
+    touched: &mut Vec<RoundKey>,
     start: Instant,
 ) -> AnalysisResult {
     let solver = WorklistSolver {
@@ -111,7 +114,6 @@ pub(crate) fn solve_prepared(
 
     let num_colors = vcfg.num_colors();
     let mut total_stats = SolveStats::default();
-    let mut rounds = 0u32;
 
     /// Solves one round (or replays it from the cache), accumulating its
     /// statistics exactly as a fresh solve would.  The returned problem is
@@ -137,10 +139,10 @@ pub(crate) fn solve_prepared(
         round_cache: &RoundCache,
         summary: &SummaryCtx<'_>,
         total: &mut SolveStats,
-        rounds: &mut u32,
+        touched: &mut Vec<RoundKey>,
     ) -> (SpecProblem<'a>, Arc<RoundResult>) {
         let effective = options.effective_speculation();
-        let key = (
+        let key: RoundKey = (
             options.cache,
             options.track_shadow,
             options.widening_delay,
@@ -161,6 +163,7 @@ pub(crate) fn solve_prepared(
             .seed
             .as_ref()
             .and_then(|(_, summaries)| summaries.donor_round(&key));
+        touched.push(key.clone());
         let round = round_cache.get_or_compute(key, || {
             let blocks = analyzed.blocks().len() as u64;
             if let (Some((plan, _)), Some(donor)) = (&summary.seed, &donor_round) {
@@ -186,7 +189,6 @@ pub(crate) fn solve_prepared(
         total.node_visits += stats.node_visits;
         total.state_updates += stats.state_updates;
         total.max_worklist_len = total.max_worklist_len.max(stats.max_worklist_len);
-        *rounds += 1;
         (problem, round)
     }
 
@@ -207,7 +209,7 @@ pub(crate) fn solve_prepared(
             round_cache,
             &summary,
             &mut total_stats,
-            &mut rounds,
+            touched,
         )
     } else if !options.speculation.dynamic_depth_bounding {
         run_round(
@@ -221,7 +223,7 @@ pub(crate) fn solve_prepared(
             round_cache,
             &summary,
             &mut total_stats,
-            &mut rounds,
+            touched,
         )
     } else {
         // Baseline pass (windows of zero) for the initial must-hit facts.
@@ -239,7 +241,7 @@ pub(crate) fn solve_prepared(
             round_cache,
             &summary,
             &mut total_stats,
-            &mut rounds,
+            touched,
         );
         let mut bounds: Vec<u32> = vcfg
             .sites()
@@ -268,7 +270,7 @@ pub(crate) fn solve_prepared(
                 round_cache,
                 &summary,
                 &mut total_stats,
-                &mut rounds,
+                touched,
             );
             // Verify every optimistic window against the sound result.
             let violations: Vec<usize> = vcfg
@@ -306,7 +308,7 @@ pub(crate) fn solve_prepared(
         states: Arc::clone(&round.0),
         accesses,
         stats: total_stats,
-        rounds,
+        rounds: touched.len() as u32,
         unroll,
         speculated_branches,
         colors: num_colors,

@@ -212,19 +212,11 @@ pub struct SessionStats {
     pub store_misses: u64,
     /// Total payload bytes deserialized across every store hit.
     pub store_loaded_bytes: u64,
-    /// Acquires served from a worker's thread-local L0 tier without taking
-    /// the session lock (see [`crate::cache_session::CacheSession`]).  Zero
-    /// for sessions driven directly, without a `CacheSession` front.
-    pub l0_hits: u64,
     /// Acquires served by the shared in-memory L1 tier (a warm rebind under
-    /// the lock) through a `CacheSession`.  Zero for directly driven
-    /// sessions, whose warm rebinds count as [`SessionStats::reused`] only.
+    /// the lock) through a [`crate::cache_session::CacheSession`].  Zero
+    /// for directly driven sessions, whose warm rebinds count as
+    /// [`SessionStats::reused`] only.
     pub l1_hits: u64,
-    /// The session's invalidation generation at snapshot time: bumped on
-    /// every entry replacement (edit-driven re-prepare or rename install),
-    /// budget eviction and removal, so lock-free L0 tiers can detect that
-    /// their pinned handles may be stale without cross-thread coordination.
-    pub generation: u64,
 }
 
 /// What [`SessionCache::update`] did for one program.
@@ -252,12 +244,6 @@ pub struct SessionCache {
     max_bytes: Option<u64>,
     /// Monotonic source of the entries' use ticks.
     tick: u64,
-    /// Invalidation generation, shared (via `Arc`) with any lock-free L0
-    /// tier fronting this cache.  Bumped on every entry replacement,
-    /// eviction and removal — the events after which an L0-pinned handle
-    /// may no longer match what this cache would serve.  Fresh-name inserts
-    /// do *not* bump: they cannot make any existing handle stale.
-    generation: Arc<AtomicU64>,
     /// Coarse tick of the last [`SessionCache::enforce_budget`] pass that
     /// left the session within budget: `(entry count, summed growth
     /// stamps)`.  Growth stamps are monotone and resident sizes are pure
@@ -287,7 +273,6 @@ impl SessionCache {
             stats: SessionStats::default(),
             max_bytes: None,
             tick: 0,
-            generation: Arc::new(AtomicU64::new(0)),
             budget_mark: None,
             store: None,
         }
@@ -296,25 +281,6 @@ impl SessionCache {
     /// The analyzer this cache prepares programs with.
     pub(crate) fn analyzer(&self) -> &Analyzer {
         &self.analyzer
-    }
-
-    /// A shared handle on the invalidation generation, for lock-free L0
-    /// tiers: reading it never takes the session lock, and a changed value
-    /// means some entry was replaced, evicted or removed since the reader
-    /// last synchronized.
-    pub(crate) fn generation_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.generation)
-    }
-
-    /// The current invalidation generation.
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
-    /// Records an event after which a previously handed-out `Arc` handle
-    /// may disagree with what this cache would serve for the same name.
-    fn bump_generation(&self) {
-        self.generation.fetch_add(1, Ordering::Release);
     }
 
     /// Forgets the coarse budget tick: the entry set is about to change, so
@@ -442,13 +408,6 @@ impl SessionCache {
             resident -= bytes;
             evicted += 1;
         }
-        if evicted > 0 {
-            // Evicted handles may still be pinned by an L0 tier; bumping
-            // lets those workers drop them (a memory bound, not a
-            // correctness one — an evicted-but-identical handle still
-            // answers byte-identically).
-            self.bump_generation();
-        }
         self.stats.session_evictions += evicted;
         self.budget_mark = Some(coarse_tick(&self.entries));
         evicted
@@ -482,7 +441,11 @@ impl SessionCache {
     /// Crate-internal since the `CacheSession` redesign: external callers
     /// sequence the two-phase resolve through
     /// [`crate::cache_session::CacheSession::acquire`] instead.
-    pub(crate) fn lookup_warm(&mut self, program: &Program) -> Option<Arc<PreparedProgram>> {
+    pub(crate) fn lookup_warm(
+        &mut self,
+        program: &Program,
+        fingerprint: Fingerprint,
+    ) -> Option<Arc<PreparedProgram>> {
         let tick = self.next_tick();
         match self.entries.get_mut(program.name()) {
             // Matched by the name-free structural fingerprint: a pure
@@ -494,7 +457,7 @@ impl SessionCache {
             // entry to the renamed program (adopting its artifacts) — so
             // the structural tier keeps serving rename-insensitive outputs
             // without leaking stale names into name-exact ones.
-            Some(entry) if entry.fingerprint == program_fingerprint(program) => {
+            Some(entry) if entry.fingerprint == fingerprint => {
                 self.stats.reused += 1;
                 entry.tick = tick;
                 Some(entry.prepared.clone())
@@ -520,12 +483,13 @@ impl SessionCache {
     pub(crate) fn lookup_tiered(
         &mut self,
         program: &Program,
+        fingerprint: Fingerprint,
     ) -> Option<(Arc<PreparedProgram>, SessionTier)> {
-        if let Some(prepared) = self.lookup_warm(program) {
+        if let Some(prepared) = self.lookup_warm(program, fingerprint) {
             return Some((prepared, SessionTier::Memory));
         }
         self.store.as_ref()?;
-        let (prepared, stamp) = self.load_from_store(program)?;
+        let (prepared, stamp) = self.load_from_store(program, fingerprint)?;
         let prepared = self.install_with(prepared, Some(stamp));
         Some((prepared, SessionTier::Store))
     }
@@ -534,9 +498,12 @@ impl SessionCache {
     /// loaded bytes.  Returns the deserialized session plus its growth
     /// stamp (its "already persisted at" mark — the on-disk bytes are what
     /// we just read).  Does not install.
-    fn load_from_store(&mut self, program: &Program) -> Option<(Arc<PreparedProgram>, u64)> {
+    fn load_from_store(
+        &mut self,
+        program: &Program,
+        fingerprint: Fingerprint,
+    ) -> Option<(Arc<PreparedProgram>, u64)> {
         let store = self.store.as_ref()?;
-        let fingerprint = program_fingerprint(program);
         match store.load(&self.analyzer, fingerprint) {
             Some((prepared, bytes)) if prepared.program() == program => {
                 self.stats.store_hits += 1;
@@ -665,11 +632,6 @@ impl SessionCache {
                     prepared.adopt_summaries(&entry.prepared);
                 }
                 *entry = SessionEntry::new(fingerprint, regions, tick, prepared.clone(), persisted);
-                // The replaced handle may still be pinned by an L0 tier —
-                // and, names being part of a prepared session, may now
-                // serve stale names for this key.  Fresh-name inserts skip
-                // the bump: no existing handle can go stale.
-                self.bump_generation();
             }
             None => {
                 self.stats.inserted += 1;
@@ -714,11 +676,6 @@ impl SessionCache {
                 let prepared = entry.prepared.clone();
                 self.stats.reused += 1;
                 self.stats.amaps_adopted += adopted;
-                if renamed {
-                    // The entry was replaced: unseat stale L0 seeds, like
-                    // every other rebind (see `install_with`).
-                    self.bump_generation();
-                }
                 return SessionUpdate {
                     prepared,
                     reused: true,
@@ -736,7 +693,7 @@ impl SessionCache {
             }
             None => None,
         };
-        let (prepared, persisted) = match self.load_from_store(program) {
+        let (prepared, persisted) = match self.load_from_store(program, fingerprint) {
             Some((prepared, stamp)) => (prepared, Some(stamp)),
             None => {
                 let prepared = Arc::new(self.analyzer.prepare(program));
@@ -766,9 +723,6 @@ impl SessionCache {
                     prepared.adopt_summaries(&entry.prepared);
                 }
                 *entry = SessionEntry::new(fingerprint, regions, tick, prepared.clone(), persisted);
-                // Edit-driven re-prepare: see the same bump in
-                // `install_with`.
-                self.bump_generation();
             }
             None => {
                 self.stats.inserted += 1;
@@ -806,7 +760,6 @@ impl SessionCache {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             session_bytes: self.resident_bytes(),
-            generation: self.generation(),
             ..self.stats
         }
     }
@@ -836,10 +789,8 @@ impl SessionCache {
         total.store_hits = self.stats.store_hits;
         total.store_misses = self.stats.store_misses;
         total.store_loaded_bytes = self.stats.store_loaded_bytes;
-        // `l0_hits`/`l1_hits` stay zero here: those tiers live in front of
-        // this cache (inside `CacheSession`), which overlays its own
-        // counters on this snapshot.
-        total.generation = self.generation();
+        // `l1_hits` stays zero here: that counter lives in front of this
+        // cache (inside `CacheSession`), which overlays it on this snapshot.
         total
     }
 }
@@ -1052,9 +1003,7 @@ pub fn scan_bundle_incremental(
         ));
         let verdict_for = |program: &Program| {
             let prepared = match front.acquire_structural(program) {
-                CacheOutcome::L0Hit(prepared)
-                | CacheOutcome::WarmHit(prepared)
-                | CacheOutcome::StoreHit(prepared) => prepared,
+                CacheOutcome::WarmHit(prepared) | CacheOutcome::StoreHit(prepared) => prepared,
                 CacheOutcome::NeedsPrepare(guard) => guard.prepare(program),
             };
             let report = prepared.run_suite(&configs).report().without_timing();
@@ -1353,11 +1302,17 @@ mod tests {
         let mut session = SessionCache::new();
         let configs = comparison_configs(CacheConfig::fully_associative(4, 64));
         let p = program("a", 0);
-        assert!(session.lookup_warm(&p).is_none(), "cold lookup misses");
+        assert!(
+            session.lookup_warm(&p, program_fingerprint(&p)).is_none(),
+            "cold lookup misses"
+        );
 
         let installed = session.install(Arc::new(Analyzer::new().prepare(&p)));
         installed.run_suite(&configs); // builds the address map to adopt
-        assert!(session.lookup_warm(&p).is_some(), "installed entry is warm");
+        assert!(
+            session.lookup_warm(&p, program_fingerprint(&p)).is_some(),
+            "installed entry is warm"
+        );
 
         // A rename-only variant: same structural fingerprint, new names.
         let mut renamed = ProgramBuilder::new("a");
@@ -1436,7 +1391,10 @@ mod tests {
 
         // First life: cold prepare (the store has nothing), run, persist.
         let mut first = SessionCache::new().artifact_store(PreparedStore::open(&store_dir));
-        assert!(first.lookup_tiered(&p).is_none(), "empty store misses");
+        assert!(
+            first.lookup_tiered(&p, program_fingerprint(&p)).is_none(),
+            "empty store misses"
+        );
         let installed = first.install(Arc::new(Analyzer::new().prepare(&p)));
         let baseline = installed.run_suite(&configs).report().without_timing();
         assert_eq!(first.stats().store_misses, 1);
@@ -1447,7 +1405,9 @@ mod tests {
         // Second life: a fresh cache over the same directory answers from
         // disk — no preparation, warm fixpoint rounds, identical report.
         let mut second = SessionCache::new().artifact_store(PreparedStore::open(&store_dir));
-        let (restored, tier) = second.lookup_tiered(&p).expect("store tier hit");
+        let (restored, tier) = second
+            .lookup_tiered(&p, program_fingerprint(&p))
+            .expect("store tier hit");
         assert_eq!(tier, SessionTier::Store);
         let stats = second.stats();
         assert_eq!((stats.store_hits, stats.store_misses), (1, 0));
@@ -1461,7 +1421,7 @@ mod tests {
         );
         // The disk load is now a resident memory entry.
         assert_eq!(
-            second.lookup_tiered(&p).unwrap().1,
+            second.lookup_tiered(&p, program_fingerprint(&p)).unwrap().1,
             SessionTier::Memory,
             "second resolve is a warm rebind"
         );
@@ -1484,7 +1444,9 @@ mod tests {
         assert_eq!(program_fingerprint(&renamed), program_fingerprint(&p));
         let mut third = SessionCache::new().artifact_store(PreparedStore::open(&store_dir));
         assert!(
-            third.lookup_tiered(&renamed).is_none(),
+            third
+                .lookup_tiered(&renamed, program_fingerprint(&renamed))
+                .is_none(),
             "a rename falls through to the cold path"
         );
         assert_eq!(third.stats().store_misses, 1);
@@ -1522,7 +1484,10 @@ mod tests {
 
         // Its next sighting loads the *grown* session from disk: the
         // memoized rounds replay instead of being re-solved.
-        let (restored, tier) = session.lookup_tiered(&program("a", 0)).expect("store hit");
+        let a = program("a", 0);
+        let (restored, tier) = session
+            .lookup_tiered(&a, program_fingerprint(&a))
+            .expect("store hit");
         assert_eq!(tier, SessionTier::Store);
         restored.run_suite(&configs);
         assert_eq!(

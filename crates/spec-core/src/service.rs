@@ -50,13 +50,12 @@
 //! one shared [`CacheSession`] front over the [`SessionCache`]: a
 //! re-submitted program — identified by name, invalidated by structural
 //! fingerprint — reuses its warm [`PreparedProgram`] exactly as
-//! `--incremental` reuses on-disk sessions, and a worker's steady-state
-//! hits come from its own thread-local L0 tier without taking the session
-//! lock at all (logged as `(l0)`; cross-worker warm hits stay `(warm)`).
-//! Every memoized unroll variant, address map, VCFG and fixpoint round
-//! survives across requests, and an edit re-prepares only the program it
-//! touched.  `status` and `shutdown` are answered inline by the connection
-//! reader (they must stay responsive while the pool is busy).
+//! `--incremental` reuses on-disk sessions (logged as `(warm)`, whichever
+//! worker prepared it).  Every memoized unroll variant, address map, VCFG
+//! and fixpoint round survives across requests, and an edit re-prepares
+//! only the program it touched.  `status` and `shutdown` are answered
+//! inline by the connection reader (they must stay responsive while the
+//! pool is busy).
 //!
 //! With [`ServiceConfig::max_session_bytes`] set (`specan serve
 //! --max-session-bytes`), the budget is enforced after every request —
@@ -992,8 +991,8 @@ impl RequestTrace {
 
 struct ServerState {
     /// The tiered session front every worker resolves programs through:
-    /// L0 hits stay on the worker's own thread, cold prepares run outside
-    /// the shared lock by construction of the acquire/commit protocol.
+    /// warm hits are one probe under its mutex, and cold prepares run
+    /// outside it by construction of the acquire/commit protocol.
     sessions: CacheSession,
     shutdown: AtomicBool,
     telemetry: ServeTelemetry,
@@ -1284,7 +1283,7 @@ fn execute(
                         prepared.program().name()
                     ));
                 }
-                warm += usize::from(matches!(how, "warm" | "l0"));
+                warm += usize::from(how == "warm");
                 sessions.push(prepared);
             }
             let threads = state.jobs.min(sessions.len()).max(1);
@@ -1394,13 +1393,13 @@ where
 }
 
 /// Parses `source` and resolves it through the tiered session front,
-/// returning the session to run against plus the accounting tag (`l0`,
-/// `warm`, `store`, `prepared`, `renamed`).
+/// returning the session to run against plus the accounting tag (`warm`,
+/// `store`, `prepared`, `renamed`).
 ///
 /// This is one [`CacheSession::acquire`] (name-exact, for `analyze`-shaped
 /// output that embeds region and block names) or
 /// [`CacheSession::acquire_structural`] (for rename-insensitive outputs):
-/// a steady-state hit never takes the session lock at all, and a miss
+/// a warm hit holds the session lock for one map probe, and a miss
 /// hands back a guard whose expensive [`Analyzer::prepare`] provably runs
 /// outside it — one cold request never serializes the whole pool.  Racing
 /// preparations of the same program are benign (the sessions are
@@ -1424,9 +1423,7 @@ fn resolve_session(
     let how = outcome.tag();
     trace.tier = Some(how);
     let prepared = match outcome {
-        CacheOutcome::L0Hit(prepared)
-        | CacheOutcome::WarmHit(prepared)
-        | CacheOutcome::StoreHit(prepared) => prepared,
+        CacheOutcome::WarmHit(prepared) | CacheOutcome::StoreHit(prepared) => prepared,
         CacheOutcome::NeedsPrepare(guard) => {
             let prepare = Instant::now();
             let prepared = guard.prepare(&program);
@@ -1456,8 +1453,7 @@ fn status_output(state: &ServerState) -> String {
          \"requests\": {}, \"errors\": {}, \"session\": {{\"inserted\": {}, \
          \"reused\": {}, \"invalidated\": {}, \"session_bytes\": {}, \
          \"session_evictions\": {}, \"store_hits\": {}, \"store_misses\": {}, \
-         \"store_loaded_bytes\": {}, \"l0_hits\": {}, \"l1_hits\": {}, \
-         \"generation\": {}}}}}",
+         \"store_loaded_bytes\": {}, \"l1_hits\": {}}}}}",
         state.jobs,
         programs,
         requests,
@@ -1470,9 +1466,7 @@ fn status_output(state: &ServerState) -> String {
         stats.store_hits,
         stats.store_misses,
         stats.store_loaded_bytes,
-        stats.l0_hits,
-        stats.l1_hits,
-        stats.generation
+        stats.l1_hits
     )
 }
 
@@ -1960,10 +1954,7 @@ mod tests {
         let status = client.call(&Request::Status).unwrap();
         assert!(status.ok);
         assert!(
-            // Which tier answered depends on which pool worker drew the
-            // re-run: the same worker hits its thread-local L0, a sibling
-            // rebinds warm from the shared L1.  Either proves reuse.
-            status.output.contains("\"reused\": 1") || status.output.contains("\"l0_hits\": 1"),
+            status.output.contains("\"reused\": 1") && status.output.contains("\"l1_hits\": 1"),
             "the warm re-run must reuse the session: {}",
             status.output
         );

@@ -54,12 +54,12 @@
 //! assert!(json.contains("\"label\": \"baseline\""));
 //! ```
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::hash::Hash;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use spec_absint::SolveStats;
@@ -141,19 +141,27 @@ impl Analyzer {
 
 /// A synchronized memo table with hit/miss counters: the building block of
 /// every per-session artifact cache (unrolled cores, address maps, VCFGs).
-/// Values are computed **outside** the lock, exactly like [`RoundCache`]:
-/// the lock only guards map operations, so readers that merely inspect the
-/// table — above all the byte-accounting [`Memo::heap_bytes`] walk behind
-/// `status` and budget enforcement — never block behind a slow artifact
-/// build.  Racing computations are benign: every artifact is a pure
-/// function of its key, so the copies are interchangeable and the first
-/// insert wins (both count as misses — two recomputations happened).
+/// Values are computed **outside** the table lock, which only guards map
+/// operations, so readers that merely inspect the table — above all the
+/// byte-accounting [`Memo::heap_bytes`] walk behind `status` and budget
+/// enforcement — never block behind a slow artifact build.
+///
+/// Builds are single-flight per key: the first request inserts an empty
+/// cell under the lock and counts the one miss; concurrent requests for
+/// the same key count hits and wait on that cell instead of building a
+/// second copy.  So each key is built once — which matters beyond cost
+/// for unrolled cores, whose build consumes the adopted donor summaries —
+/// and the counters do not depend on the thread schedule.  Cells still
+/// being built are invisible to [`Memo::entries`], [`Memo::len`] and
+/// [`Memo::heap_bytes`].
 pub(crate) struct Memo<K, V> {
     inner: Mutex<MemoInner<K, V>>,
 }
 
+type MemoCell<V> = Arc<OnceLock<Arc<V>>>;
+
 struct MemoInner<K, V> {
-    map: HashMap<K, Arc<V>>,
+    map: HashMap<K, MemoCell<V>>,
     hits: u64,
     misses: u64,
 }
@@ -177,7 +185,10 @@ impl<K: Eq + Hash, V> Memo<K, V> {
     pub(crate) fn from_entries(entries: Vec<(K, Arc<V>)>) -> Self {
         Self {
             inner: Mutex::new(MemoInner {
-                map: entries.into_iter().collect(),
+                map: entries
+                    .into_iter()
+                    .map(|(key, value)| (key, Arc::new(OnceLock::from(value))))
+                    .collect(),
                 hits: 0,
                 misses: 0,
             }),
@@ -185,35 +196,37 @@ impl<K: Eq + Hash, V> Memo<K, V> {
     }
 
     fn get_or_insert_with(&self, key: K, make: impl FnOnce() -> V) -> Arc<V> {
-        {
+        let cell = {
             let mut inner = self.inner.lock().expect("memo table poisoned");
-            if let Some(hit) = inner.map.get(&key) {
-                let hit = hit.clone();
-                inner.hits += 1;
-                return hit;
+            let inner = &mut *inner;
+            match inner.map.entry(key) {
+                Entry::Occupied(entry) => {
+                    inner.hits += 1;
+                    entry.get().clone()
+                }
+                Entry::Vacant(entry) => {
+                    inner.misses += 1;
+                    entry.insert(Arc::default()).clone()
+                }
             }
-            inner.misses += 1;
-        }
-        let value = Arc::new(make());
-        let mut inner = self.inner.lock().expect("memo table poisoned");
-        match inner.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(entry) => entry.get().clone(),
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                entry.insert(value.clone());
-                value
-            }
-        }
+        };
+        // A build that panics leaves the cell empty; the next waiter then
+        // builds it instead.
+        cell.get_or_init(|| Arc::new(make())).clone()
     }
 
-    /// Inserts `value` under `key` unless present (no counter effect —
-    /// adoption is bookkept by the caller, not as a hit or miss).
+    /// Inserts `value` under `key` unless present or being built (no
+    /// counter effect — adoption is bookkept by the caller, not as a hit or
+    /// miss).
     fn seed(&self, key: K, value: Arc<V>) -> bool {
         let mut inner = self.inner.lock().expect("memo table poisoned");
-        if inner.map.contains_key(&key) {
-            return false;
+        match inner.map.entry(key) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(entry) => {
+                entry.insert(Arc::new(OnceLock::from(value)));
+                true
+            }
         }
-        inner.map.insert(key, value);
-        true
     }
 
     /// `(hits, misses)` so far.
@@ -223,36 +236,41 @@ impl<K: Eq + Hash, V> Memo<K, V> {
     }
 
     fn len(&self) -> usize {
-        self.inner.lock().expect("memo table poisoned").map.len()
+        self.entries_with(|_, _| ()).len()
     }
 
-    /// Snapshot of the cached values (for aggregation, adoption and
+    /// Snapshot of the built values (for aggregation, adoption and
     /// serialization).
     pub(crate) fn entries(&self) -> Vec<(K, Arc<V>)>
     where
         K: Clone,
     {
+        self.entries_with(|key, value| (key.clone(), value.clone()))
+    }
+
+    /// `f` over every built entry, under the table lock.
+    fn entries_with<T>(&self, f: impl Fn(&K, &Arc<V>) -> T) -> Vec<T> {
         self.inner
             .lock()
             .expect("memo table poisoned")
             .map
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .filter_map(|(key, cell)| cell.get().map(|value| f(key, value)))
             .collect()
     }
 
-    /// Estimated owned heap bytes of the table: entry slots, key heap, and
-    /// every `Arc`-held value in full (see [`spec_ir::heap`]).
+    /// Estimated owned heap bytes of the built entries, counted like a
+    /// `HashMap<K, Arc<V>>`: entry slots, key heap, and every `Arc`-held
+    /// value in full (see [`spec_ir::heap`]).
     fn heap_bytes(&self) -> usize
     where
         K: HeapSize,
         V: HeapSize,
     {
-        self.inner
-            .lock()
-            .expect("memo table poisoned")
-            .map
-            .heap_size()
+        let slot = std::mem::size_of::<K>() + std::mem::size_of::<Arc<V>>();
+        self.entries_with(|key, value| slot + key.heap_size() + value.heap_size())
+            .into_iter()
+            .sum()
     }
 }
 
@@ -370,11 +388,11 @@ impl RoundCache {
         let mut inner = self.inner.lock().expect("round cache poisoned");
         let tick = inner.next_tick();
         let cached = match inner.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut entry) => {
+            Entry::Occupied(mut entry) => {
                 entry.get_mut().1 = tick;
                 entry.get().0.clone()
             }
-            std::collections::hash_map::Entry::Vacant(entry) => {
+            Entry::Vacant(entry) => {
                 entry.insert((value.clone(), tick));
                 value
             }
@@ -408,6 +426,19 @@ impl RoundCache {
         Self {
             inner: Mutex::new(inner),
             capacity,
+        }
+    }
+
+    /// Marks each cached key of `keys` used, in order, without counting a
+    /// hit: [`PreparedProgram::run_suite`] replays its configurations'
+    /// round uses through this in input order once its threads finish.
+    pub(crate) fn touch(&self, keys: &[RoundKey]) {
+        let mut inner = self.inner.lock().expect("round cache poisoned");
+        for key in keys {
+            let tick = inner.next_tick();
+            if let Some((_, used)) = inner.map.get_mut(key) {
+                *used = tick;
+            }
         }
     }
 
@@ -464,14 +495,7 @@ impl RoundCache {
     /// for the eviction-order contract).
     #[cfg(test)]
     pub(crate) fn lru_order(&self) -> Vec<RoundKey> {
-        let inner = self.inner.lock().unwrap();
-        let mut entries: Vec<(u64, RoundKey)> = inner
-            .map
-            .iter()
-            .map(|(key, (_, tick))| (*tick, key.clone()))
-            .collect();
-        entries.sort_by_key(|(tick, _)| *tick);
-        entries.into_iter().map(|(_, key)| key).collect()
+        self.lru_entries().into_iter().map(|(key, _)| key).collect()
     }
 }
 
@@ -616,17 +640,10 @@ pub struct CacheStats {
     pub store_misses: u64,
     /// Total payload bytes deserialized from the artifact store.
     pub store_loaded_bytes: u64,
-    /// Acquires served by a worker's thread-local L0 tier without taking
-    /// the session lock.  Non-zero only when the owning session is fronted
-    /// by a [`crate::cache_session::CacheSession`].
-    pub l0_hits: u64,
-    /// Acquires served warm by the shared in-memory L1 tier through a
-    /// `CacheSession` front (the lock-taking sibling of `l0_hits`).
+    /// Acquires served warm by the shared in-memory L1 tier.  Non-zero
+    /// only when the owning session is fronted by a
+    /// [`crate::cache_session::CacheSession`].
     pub l1_hits: u64,
-    /// The owning session's invalidation generation at snapshot time —
-    /// bumped on every entry replacement, budget eviction and removal, and
-    /// the signal that clears the L0 tiers.  Zero for per-program stats.
-    pub generation: u64,
 }
 
 impl CacheStats {
@@ -678,12 +695,8 @@ impl fmt::Display for CacheStats {
                 self.store_hits, self.store_misses, self.store_loaded_bytes
             )?;
         }
-        if self.l0_hits > 0 || self.l1_hits > 0 {
-            write!(
-                f,
-                ", tiers {} l0 / {} l1 (generation {})",
-                self.l0_hits, self.l1_hits, self.generation
-            )?;
+        if self.l1_hits > 0 {
+            write!(f, ", tiers {} l1", self.l1_hits)?;
         }
         Ok(())
     }
@@ -856,6 +869,15 @@ impl PreparedProgram {
     /// only this call, so second runs of a configuration family reflect the
     /// session savings.
     pub fn run(&self, options: &AnalysisOptions) -> AnalysisResult {
+        self.run_recorded(options).0
+    }
+
+    /// [`PreparedProgram::run`], also returning the unrolled core it ran
+    /// on and the keys of the fixpoint rounds it used, in order.
+    fn run_recorded(
+        &self,
+        options: &AnalysisOptions,
+    ) -> (AnalysisResult, Arc<PreparedCore>, Vec<RoundKey>) {
         let start = Instant::now();
         let core = self.core(options);
         let amap = self.amap(options.cache);
@@ -875,7 +897,8 @@ impl PreparedProgram {
             }),
             store: &self.summaries,
         };
-        solve_prepared(
+        let mut touched = Vec::new();
+        let result = solve_prepared(
             options,
             &core.analyzed,
             core.unroll,
@@ -884,8 +907,10 @@ impl PreparedProgram {
             &widen_nodes,
             &core.rounds,
             summary,
+            &mut touched,
             start,
-        )
+        );
+        (result, core, touched)
     }
 
     /// Runs every labelled configuration, fanning out across scoped worker
@@ -903,8 +928,8 @@ impl PreparedProgram {
             .collect();
         let threads = self.suite_threads(labelled.len());
         let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<SuiteRun>>> =
-            Mutex::new(labelled.iter().map(|_| None).collect());
+        type Slot = Option<(SuiteRun, Arc<PreparedCore>, Vec<RoundKey>)>;
+        let slots: Mutex<Vec<Slot>> = Mutex::new(labelled.iter().map(|_| None).collect());
 
         std::thread::scope(|scope| {
             for _ in 0..threads {
@@ -913,22 +938,32 @@ impl PreparedProgram {
                     let Some((label, options)) = labelled.get(index) else {
                         break;
                     };
-                    let result = self.run(options);
+                    let (result, core, touched) = self.run_recorded(options);
                     let run = SuiteRun {
                         label: label.clone(),
                         options: *options,
                         result,
                     };
-                    slots.lock().expect("suite slots poisoned")[index] = Some(run);
+                    slots.lock().expect("suite slots poisoned")[index] = Some((run, core, touched));
                 });
             }
         });
 
+        // The workers used the round caches in whatever order the scheduler
+        // ran them.  Replaying every configuration's round uses in input
+        // order leaves each cache in the recency order a one-thread suite
+        // produces, so the LRU order the artifact tier persists does not
+        // depend on the schedule.  (Under a round-cache capacity, *which*
+        // rounds were evicted mid-suite still can.)
         let runs = slots
             .into_inner()
             .expect("suite slots poisoned")
             .into_iter()
-            .map(|run| run.expect("every configuration was run"))
+            .map(|slot| {
+                let (run, core, touched) = slot.expect("every configuration was run");
+                core.rounds.touch(&touched);
+                run
+            })
             .collect();
         Suite {
             program: self.program.name().to_string(),
@@ -1139,8 +1174,7 @@ impl Report {
                  \"summaries_invalidated\": {}, \
                  \"session_evictions\": {}, \"session_bytes\": {}, \
                  \"store_hits\": {}, \"store_misses\": {}, \
-                 \"store_loaded_bytes\": {}, \"l0_hits\": {}, \
-                 \"l1_hits\": {}, \"generation\": {}}},\n",
+                 \"store_loaded_bytes\": {}, \"l1_hits\": {}}},\n",
                 cache.core_hits,
                 cache.core_misses,
                 cache.amap_hits,
@@ -1159,9 +1193,7 @@ impl Report {
                 cache.store_hits,
                 cache.store_misses,
                 cache.store_loaded_bytes,
-                cache.l0_hits,
-                cache.l1_hits,
-                cache.generation
+                cache.l1_hits
             ));
         }
         out.push_str("  \"runs\": [\n");

@@ -721,7 +721,7 @@ fn analyze_one(
     // (`analyze` output embeds region and block names), so a renamed
     // program prepares cold and overwrites the artifact.
     let prepared = match sessions.acquire(&program) {
-        CacheOutcome::L0Hit(prepared) | CacheOutcome::WarmHit(prepared) => prepared,
+        CacheOutcome::WarmHit(prepared) => prepared,
         CacheOutcome::StoreHit(prepared) => {
             eprintln!("artifacts: loaded `{}` from the store", path.display());
             prepared

@@ -1,21 +1,20 @@
 //! Cross-worker staleness property suite for the tiered session front.
 //!
-//! The lock-free L0 pins `Arc<PreparedProgram>` handles per OS thread, so
-//! the dangerous interleavings are the cross-thread ones: worker A edits,
-//! renames or evicts a program while worker B still holds yesterday's
-//! handle in its own L0.  Three properties are held:
+//! Workers share one session front, so the dangerous interleavings are the
+//! cross-thread ones: worker A edits, renames or evicts a program that
+//! worker B served a moment ago.  Three properties are held:
 //!
 //! * **edits and renames are never stale** — after worker A re-prepares a
 //!   program (new body, or same structure under new region names), worker
 //!   B's next acquire renders output byte-identical, post timing-strip, to
-//!   a fresh session-free run of the new version — never its pinned
-//!   handle's;
+//!   a fresh session-free run of the new version — never the version B
+//!   served before;
 //! * **evictions are never stale** — under a thrashing byte budget, a
-//!   worker's repeat acquire misses every tier (the eviction's generation
-//!   bump unseats the L0 seed) instead of replaying an evicted handle;
+//!   worker's repeat acquire misses every tier instead of replaying an
+//!   evicted handle;
 //! * **the ledger reconciles** — across any concurrent mix of hits,
 //!   prepares and abandoned guards, every acquire lands in exactly one
-//!   tier counter (`l0 + l1 + store + prepares + abandoned == acquires`).
+//!   tier counter (`l1 + store + prepares + abandoned == acquires`).
 //!
 //! Like the other property suites, the generator is a deterministic
 //! xorshift PRNG, so a failure reproduces from the printed case number.
@@ -38,8 +37,8 @@ fn cache() -> CacheConfig {
     CacheConfig::fully_associative(8, 64)
 }
 
-/// The stripped reference rendering of one program: what any tier — L0
-/// handle, warm rebind, or re-prepare — must reproduce exactly.
+/// The stripped reference rendering of one program: what any tier — warm
+/// rebind, store load, or re-prepare — must reproduce exactly.
 fn fresh_report(program: &Program) -> String {
     Analyzer::new()
         .prepare(program)
@@ -53,9 +52,7 @@ fn fresh_report(program: &Program) -> String {
 /// tier answers — and renders the stripped report.
 fn acquire_report(sessions: &CacheSession, program: &Program) -> String {
     let prepared = match sessions.acquire(program) {
-        CacheOutcome::L0Hit(prepared)
-        | CacheOutcome::WarmHit(prepared)
-        | CacheOutcome::StoreHit(prepared) => prepared,
+        CacheOutcome::WarmHit(prepared) | CacheOutcome::StoreHit(prepared) => prepared,
         CacheOutcome::NeedsPrepare(guard) => guard.prepare(program),
     };
     prepared
@@ -66,13 +63,13 @@ fn acquire_report(sessions: &CacheSession, program: &Program) -> String {
 }
 
 #[test]
-fn edits_on_worker_a_never_serve_stale_from_worker_bs_l0() {
+fn edits_on_worker_a_never_serve_stale_to_worker_b() {
     for case in 0..CASES {
         let mut rng = Rng::new(0x10c4_0000 + case);
         let sessions = CacheSession::new(SessionCache::new());
         thread::scope(|s| {
-            // Worker B lives on one OS thread for the whole case, so its
-            // thread-local L0 accumulates handles across every version.
+            // Worker B lives on one OS thread for the whole case and
+            // serves every version, before and after each of A's edits.
             let (to_b, b_rx) = mpsc::channel::<Program>();
             let (to_a, a_rx) = mpsc::channel::<String>();
             let worker = &sessions;
@@ -84,7 +81,7 @@ fn edits_on_worker_a_never_serve_stale_from_worker_bs_l0() {
 
             let mut text = random_program_text(&mut rng, "hot");
             for edit in 0..EDITS_PER_CASE {
-                // B serves (and L0-pins) the current version first.
+                // B serves the current version first.
                 let program = parse_program(&text).expect("generated programs parse");
                 to_b.send(program.clone()).unwrap();
                 assert_eq!(
@@ -96,8 +93,8 @@ fn edits_on_worker_a_never_serve_stale_from_worker_bs_l0() {
                 // A commits a new version of the same key: alternately a
                 // body edit (new fingerprint) and a region rename (same
                 // structure, new names — the stale-names hazard, since
-                // renames keep the structural fingerprint B's L0 is
-                // keyed by).
+                // renames keep the structural fingerprint the warm tier
+                // is keyed by).
                 text = if edit % 2 == 0 {
                     random_program_text(&mut rng, "hot")
                 } else {
@@ -107,7 +104,7 @@ fn edits_on_worker_a_never_serve_stale_from_worker_bs_l0() {
                 acquire_report(&sessions, &edited);
 
                 // B's next acquire must render the new version — never
-                // the handle still pinned in its L0.
+                // the one it served before the edit.
                 to_b.send(edited.clone()).unwrap();
                 assert_eq!(
                     a_rx.recv().unwrap(),
@@ -126,13 +123,13 @@ fn edits_on_worker_a_never_serve_stale_from_worker_bs_l0() {
 }
 
 #[test]
-fn evictions_on_worker_a_never_serve_stale_from_worker_bs_l0() {
+fn evictions_on_worker_a_never_serve_stale_to_worker_b() {
     let mut rng = Rng::new(0x0e71_c7ed);
     let text = random_program_text(&mut rng, "victim");
     let program = parse_program(&text).expect("generated programs parse");
     let expected = fresh_report(&program);
     // A zero budget evicts every install on the spot: the most hostile
-    // schedule for a pinned L0 handle.
+    // schedule for a stale handle.
     let sessions = CacheSession::new(SessionCache::new().max_session_bytes(0));
 
     thread::scope(|s| {
@@ -143,7 +140,6 @@ fn evictions_on_worker_a_never_serve_stale_from_worker_bs_l0() {
         s.spawn(move || {
             while b_rx.recv().is_ok() {
                 let (prepared, how) = match worker.acquire(&victim) {
-                    CacheOutcome::L0Hit(p) => (p, "l0"),
                     CacheOutcome::WarmHit(p) => (p, "warm"),
                     CacheOutcome::StoreHit(p) => (p, "store"),
                     CacheOutcome::NeedsPrepare(guard) => (guard.prepare(&victim), "prepared"),
@@ -163,8 +159,7 @@ fn evictions_on_worker_a_never_serve_stale_from_worker_bs_l0() {
             assert_eq!(report, expected, "round {round}: eviction is invisible");
             assert_eq!(
                 how, "prepared",
-                "round {round}: a thrashing budget leaves nothing warm — \
-                 the eviction's generation bump unseats worker B's L0 seed"
+                "round {round}: a thrashing budget leaves nothing warm"
             );
             // Worker A's checkpoint re-enforces the budget; nothing stays.
             sessions.checkpoint();
@@ -176,8 +171,7 @@ fn evictions_on_worker_a_never_serve_stale_from_worker_bs_l0() {
     let stats = sessions.acquire_stats();
     assert!(stats.reconciles());
     assert_eq!(
-        stats.l0_hits + stats.l1_hits,
-        0,
+        stats.l1_hits, 0,
         "no acquire was ever served from a handle the session had evicted"
     );
 }
@@ -204,9 +198,7 @@ fn counters_reconcile_under_concurrent_mixed_workloads() {
                 for step in 0..STEPS {
                     let program = &programs[rng.below(programs.len() as u64) as usize];
                     match worker.acquire(program) {
-                        CacheOutcome::L0Hit(hit)
-                        | CacheOutcome::WarmHit(hit)
-                        | CacheOutcome::StoreHit(hit) => {
+                        CacheOutcome::WarmHit(hit) | CacheOutcome::StoreHit(hit) => {
                             // Name-exact acquires only ever serve the
                             // exact program asked for.
                             assert_eq!(hit.program(), program);
@@ -231,8 +223,7 @@ fn counters_reconcile_under_concurrent_mixed_workloads() {
     assert_eq!(stats.acquires, WORKERS * STEPS);
     assert!(
         stats.reconciles(),
-        "l0 {} + l1 {} + store {} + prepares {} + abandoned {} != acquires {}",
-        stats.l0_hits,
+        "l1 {} + store {} + prepares {} + abandoned {} != acquires {}",
         stats.l1_hits,
         stats.store_hits,
         stats.prepares,
@@ -240,4 +231,36 @@ fn counters_reconcile_under_concurrent_mixed_workloads() {
         stats.acquires
     );
     assert!(stats.prepares >= 1, "someone prepared the pool");
+}
+
+/// Nothing outside the shared table pins a committed session, so a budget
+/// eviction frees it: the byte budget bounds the memory actually held.
+#[test]
+fn evicted_sessions_are_freed_at_the_checkpoint() {
+    let mut rng = Rng::new(0x0f4e_ed00);
+    let a = parse_program(&random_program_text(&mut rng, "alpha")).unwrap();
+    let b = parse_program(&random_program_text(&mut rng, "beta")).unwrap();
+    let commit = |sessions: &CacheSession, program: &Program| match sessions.acquire(program) {
+        CacheOutcome::NeedsPrepare(guard) => guard.prepare(program),
+        other => panic!("cold acquire must miss, got `{}`", other.tag()),
+    };
+    // A budget that holds either program alone, never both.
+    let bytes = |program: &Program| {
+        let probe = CacheSession::new(SessionCache::new());
+        commit(&probe, program);
+        probe.resident_bytes()
+    };
+    let budget = bytes(&a).max(bytes(&b));
+    let sessions = CacheSession::new(SessionCache::new().max_session_bytes(budget));
+
+    let alpha = std::sync::Arc::downgrade(&commit(&sessions, &a));
+    assert!(alpha.upgrade().is_some(), "alpha is resident under budget");
+    commit(&sessions, &b);
+    let stats = sessions.checkpoint();
+    assert_eq!(stats.session_evictions, 1, "{stats:?}");
+    assert!(stats.session_bytes <= budget);
+    assert!(
+        alpha.upgrade().is_none(),
+        "the evicted session must be freed, not pinned by the committing thread"
+    );
 }

@@ -50,9 +50,7 @@ fn fresh_report(source: &str, cache: CacheConfig) -> String {
 fn acquire_any(sessions: &CacheSession, source: &str) -> std::sync::Arc<PreparedProgram> {
     let program = parse_program(source).expect("generated programs parse");
     match sessions.acquire(&program) {
-        CacheOutcome::L0Hit(prepared)
-        | CacheOutcome::WarmHit(prepared)
-        | CacheOutcome::StoreHit(prepared) => prepared,
+        CacheOutcome::WarmHit(prepared) | CacheOutcome::StoreHit(prepared) => prepared,
         CacheOutcome::NeedsPrepare(guard) => guard.prepare(&program),
     }
 }
@@ -153,22 +151,17 @@ fn budgeted_sessions_reproduce_fresh_reports_bit_for_bit() {
             let acquired = session.acquire_stats();
             match budget {
                 // A sub-entry budget keeps nothing resident and evicts on
-                // every sighting (each insert is followed by its eviction,
-                // whose generation bump unseats the worker's L0 handle).
+                // every sighting (each insert is followed by its eviction).
                 Some(bytes) if bytes < min_entry => {
                     assert_eq!(session.len(), 0, "case {case}: nothing fits");
                     assert_eq!(stats.session_evictions, stats.inserted);
-                    assert_eq!(
-                        acquired.l0_hits + acquired.l1_hits,
-                        0,
-                        "nothing survives to be served warm"
-                    );
+                    assert_eq!(acquired.l1_hits, 0, "nothing survives to be served warm");
                 }
                 Some(_) => {}
                 None => {
                     assert_eq!(stats.session_evictions, 0, "unbounded never evicts");
                     assert!(
-                        acquired.l0_hits + acquired.l1_hits > 0,
+                        acquired.l1_hits > 0,
                         "second visits are served from a warm tier"
                     );
                 }
@@ -178,10 +171,9 @@ fn budgeted_sessions_reproduce_fresh_reports_bit_for_bit() {
 }
 
 /// The acquire/commit protocol the service pool uses keeps its contract
-/// under a byte budget: an eviction's generation bump turns the next
-/// acquire into a miss (never a stale hit — not even from the worker's own
-/// lock-free L0 handle), a commit over budget evicts at the checkpoint,
-/// and results never change.
+/// under a byte budget: an eviction turns the next acquire into a miss
+/// (never a stale hit), a commit over budget evicts at the checkpoint, and
+/// results never change.
 #[test]
 fn two_phase_resolve_stays_correct_under_eviction() {
     let cache = CacheConfig::fully_associative(8, 64);
@@ -209,7 +201,7 @@ fn two_phase_resolve_stays_correct_under_eviction() {
     pa.run_suite(&comparison_configs(cache));
     session.checkpoint();
     match session.acquire(&parse(&a)) {
-        CacheOutcome::L0Hit(_) | CacheOutcome::WarmHit(_) => {}
+        CacheOutcome::WarmHit(_) => {}
         other => panic!("alpha resident, got `{}`", other.tag()),
     };
 
@@ -222,12 +214,11 @@ fn two_phase_resolve_stays_correct_under_eviction() {
     pb.run_suite(&comparison_configs(cache));
     session.checkpoint();
     match session.acquire(&parse(&b)) {
-        CacheOutcome::L0Hit(_) | CacheOutcome::WarmHit(_) => {}
+        CacheOutcome::WarmHit(_) => {}
         other => panic!("beta resident, got `{}`", other.tag()),
     };
-    // The eviction's generation bump unseats alpha's L0 handle too: the
-    // acquire walks every tier and misses instead of replaying a handle
-    // the session no longer owns.
+    // The acquire walks every tier and misses instead of replaying a
+    // handle the session no longer owns.
     let guard = match session.acquire(&parse(&a)) {
         CacheOutcome::NeedsPrepare(guard) => guard,
         other => panic!(
