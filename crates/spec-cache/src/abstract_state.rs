@@ -14,6 +14,12 @@
 //! configuration).  A block absent from the must map may be outside the
 //! cache; a block absent from the may map is definitely outside the cache on
 //! every path.
+//!
+//! An access costs O(|must| + |may| + W).  The refined aging rule of
+//! Appendix B asks, for every must-block `u`, how many shadow blocks of its
+//! set may be as young as `u`; [`AbstractCacheState::access`] answers all
+//! those questions from one prefix-sum array over the shadow ages, built once
+//! per access, and ages both maps in place without further allocation.
 
 use std::collections::BTreeMap;
 
@@ -151,6 +157,13 @@ impl AbstractCacheState {
     /// `set_of` maps a block to its cache set (always `0` for a
     /// fully-associative cache); only blocks in the same set age.
     ///
+    /// With shadow tracking a must-block `u` of age `a` ages only if at least
+    /// `a` other shadow blocks of its set may be as young as it (the refined
+    /// aging rule of Appendix B).  That count comes from one cumulative
+    /// histogram of the updated shadow ages, so an access costs
+    /// O(|must| + |may| + W): one pass over each map, with the prefix-sum
+    /// array of `W + 1` counters as the only allocation.
+    ///
     /// Accessing from the bottom state leaves it bottom (no path reaches the
     /// access).
     pub fn access(
@@ -168,60 +181,59 @@ impl AbstractCacheState {
             CacheAccess::Precise(block) => {
                 let set = set_of(*block);
                 // --- may (shadow) component first: its *new* value feeds the
-                // refined aging rule for the must component.
-                let old_shadow_v = inner.may.get(block).copied().unwrap_or(ways + 1);
-                if track_shadow {
-                    let snapshot: Vec<(MemBlock, Age)> =
-                        inner.may.iter().map(|(b, a)| (*b, *a)).collect();
-                    for (u, age) in snapshot {
-                        if u == *block || set_of(u) != set {
-                            continue;
+                // refined aging rule for the must component.  `young[a]`
+                // counts the same-set shadow blocks of updated age `a`, and
+                // becomes the cumulative count of those with age `<= a`.
+                let young = if track_shadow {
+                    let old_shadow_v = inner.may.get(block).copied().unwrap_or(ways + 1);
+                    let mut young = vec![0 as Age; ways as usize + 1];
+                    inner.may.retain(|u, age| {
+                        if u == block || set_of(*u) != set {
+                            return true;
                         }
-                        if age <= old_shadow_v {
-                            let new_age = age + 1;
-                            if new_age > ways {
-                                inner.may.remove(&u);
-                            } else {
-                                inner.may.insert(u, new_age);
+                        if *age <= old_shadow_v {
+                            *age += 1;
+                            if *age > ways {
+                                return false;
                             }
                         }
-                    }
+                        young[*age as usize] += 1;
+                        true
+                    });
                     inner.may.insert(*block, 1);
-                }
+                    young[1] += 1;
+                    for a in 1..young.len() {
+                        young[a] += young[a - 1];
+                    }
+                    Some(young)
+                } else {
+                    None
+                };
                 // --- must component.
                 let old_must_v = inner.must.get(block).copied().unwrap_or(ways + 1);
-                let snapshot: Vec<(MemBlock, Age)> =
-                    inner.must.iter().map(|(b, a)| (*b, *a)).collect();
-                for (u, age) in snapshot {
-                    if u == *block || set_of(u) != set {
-                        continue;
+                // Both maps are ordered by block, so `u`'s own shadow age is
+                // found by walking the may map alongside the must map.
+                let mut may = inner.may.iter().peekable();
+                inner.must.retain(|u, age| {
+                    if u == block || set_of(*u) != set || *age >= old_must_v {
+                        return true;
                     }
-                    if age < old_must_v {
-                        let should_age = if track_shadow {
-                            // Refined rule (Appendix B): only age `u` if at
-                            // least `age` shadow blocks could be younger than
-                            // or as young as it.
-                            let n_young = inner
-                                .may
-                                .iter()
-                                .filter(|(w, shadow_age)| {
-                                    **w != u && set_of(**w) == set && **shadow_age <= age
-                                })
-                                .count() as Age;
-                            n_young >= age
-                        } else {
-                            true
+                    if let Some(young) = &young {
+                        // Refined rule (Appendix B): only age `u` if at least
+                        // `age` shadow blocks other than `u` itself could be
+                        // younger than or as young as it.
+                        while may.next_if(|(w, _)| *w < u).is_some() {}
+                        let own = match may.peek() {
+                            Some((w, shadow_age)) if *w == u && **shadow_age <= *age => 1,
+                            _ => 0,
                         };
-                        if should_age {
-                            let new_age = age + 1;
-                            if new_age > ways {
-                                inner.must.remove(&u);
-                            } else {
-                                inner.must.insert(u, new_age);
-                            }
+                        if young[*age as usize] - own < *age {
+                            return true;
                         }
                     }
-                }
+                    *age += 1;
+                    *age <= ways
+                });
                 inner.must.insert(*block, 1);
             }
             CacheAccess::AnyOf(_region) => {
@@ -230,25 +242,13 @@ impl AbstractCacheState {
                 // nothing as newly guaranteed-cached.  This matches the
                 // paper's `[k*]` placeholder device: each evaluation of an
                 // unknown-index access adds one unit of eviction pressure.
-                let must_snapshot: Vec<(MemBlock, Age)> =
-                    inner.must.iter().map(|(b, a)| (*b, *a)).collect();
-                for (u, age) in must_snapshot {
-                    let new_age = age + 1;
-                    if new_age > ways {
-                        inner.must.remove(&u);
-                    } else {
-                        inner.must.insert(u, new_age);
-                    }
-                }
-                if track_shadow {
-                    // Any block of the region may now be in the youngest line.
-                    // Existing may-ages stay valid lower bounds.  We do not
-                    // enumerate the region's blocks here (the caller does not
-                    // hand us the address map); instead the conservative
-                    // `n_young >= age` refinement is disabled for this state
-                    // by bumping nothing — unconditional aging above already
-                    // over-approximates.
-                }
+                // The may map is left unchanged: the touched block is not
+                // recorded as a shadow block, so the refined aging rule of a
+                // later precise access does not count it.
+                inner.must.retain(|_, age| {
+                    *age += 1;
+                    *age <= ways
+                });
             }
         }
     }
@@ -355,6 +355,9 @@ impl spec_ir::heap::HeapSize for AbstractCacheState {
             .map_or(0, |inner| inner.must.heap_size() + inner.may.heap_size())
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

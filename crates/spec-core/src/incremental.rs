@@ -653,7 +653,8 @@ impl SessionCache {
         if let Some(entry) = self.entries.get_mut(&name) {
             if entry.fingerprint == fingerprint {
                 entry.tick = tick;
-                let diff = want_diff.then(|| ProgramDiff::between(entry.prepared.program(), program));
+                let diff =
+                    want_diff.then(|| ProgramDiff::between(entry.prepared.program(), program));
                 // The fingerprint is name-free, so an equal print does not
                 // mean an equal program: serving the cached handle across a
                 // pure rename would leak the pre-edit region and block

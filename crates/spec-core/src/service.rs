@@ -1484,7 +1484,10 @@ fn metrics_output(state: &ServerState) -> String {
     // shrink the aggregate) never read as a counter decrease — at worst
     // their unsampled tail is under-counted, never negative.
     let hits = state.sessions.cache_stats().summary_hits;
-    let seen = state.telemetry.summary_reuse_seen.swap(hits, Ordering::AcqRel);
+    let seen = state
+        .telemetry
+        .summary_reuse_seen
+        .swap(hits, Ordering::AcqRel);
     state.telemetry.summary_reuse.add(hits.saturating_sub(seen));
     state.telemetry.registry.render()
 }

@@ -550,10 +550,17 @@ impl PreparedCore {
         }
     }
 
+    /// The VCFG of `config`'s speculation structure.  The graph depends only
+    /// on the key's fields, so it is built from those alone: the memoized
+    /// value, and the artifact bytes it is saved as, must not depend on
+    /// which of the configurations sharing the key asked first.
     fn vcfg(&self, config: SpeculationConfig) -> Arc<Vcfg> {
         let key: VcfgKey = (config.depth_on_miss, config.merge_strategy);
+        let structure = config
+            .with_depths(config.depth_on_miss, config.depth_on_miss)
+            .with_dynamic_depth_bounding(false);
         self.vcfgs
-            .get_or_insert_with(key, || Vcfg::build(&self.analyzed, config))
+            .get_or_insert_with(key, || Vcfg::build(&self.analyzed, structure))
     }
 }
 
@@ -1466,6 +1473,26 @@ mod tests {
         assert_eq!(stats.vcfg_hits + stats.vcfg_misses, 4);
         assert_eq!(stats.amap_misses, 1, "one geometry, one address map");
         assert_eq!(stats.core_misses, 1, "one unroll budget, one core");
+    }
+
+    #[test]
+    fn shared_vcfg_does_not_depend_on_which_config_built_it() {
+        let program = diamond_program();
+        let cache = CacheConfig::fully_associative(6, 64);
+        let dynamic = AnalysisOptions::builder().cache(cache).build().unwrap();
+        let fixed = AnalysisOptions::builder()
+            .cache(cache)
+            .dynamic_depth_bounding(false)
+            .build()
+            .unwrap();
+        let built_after = |first: &AnalysisOptions| {
+            let prepared = Analyzer::new().prepare(&program);
+            prepared.run(first);
+            let vcfgs = prepared.core(first).vcfgs.entries();
+            assert_eq!(vcfgs.len(), 1);
+            *vcfgs[0].1.config()
+        };
+        assert_eq!(built_after(&dynamic), built_after(&fixed));
     }
 
     #[test]

@@ -231,12 +231,7 @@ impl CoreSummaries {
         vcfg: &Vcfg,
         widen_nodes: &HashSet<usize>,
     ) -> Option<Arc<VcfgSeed>> {
-        if let Some(decision) = self
-            .seeds
-            .lock()
-            .expect("summary seeds poisoned")
-            .get(&key)
-        {
+        if let Some(decision) = self.seeds.lock().expect("summary seeds poisoned").get(&key) {
             return decision.clone();
         }
         let seed = build_vcfg_seed(analyzed, &self.matched, vcfg, widen_nodes, &self.donor, key)

@@ -61,7 +61,7 @@ fn ladder(seed: u64, segments: usize, overrides: &[(usize, u64)]) -> Program {
     let mut rng = Lcg(seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut b = ProgramBuilder::new("ladder");
     let regions: Vec<RegionId> = (0..4)
-        .map(|i| b.region(&format!("r{i}"), REGION_BYTES, false))
+        .map(|i| b.region(format!("r{i}"), REGION_BYTES, false))
         .collect();
     let p = b.region("p", LINE, false);
 
@@ -70,9 +70,9 @@ fn ladder(seed: u64, segments: usize, overrides: &[(usize, u64)]) -> Program {
     let entry = b.entry_block("entry");
     let mut blocks = vec![entry];
     for s in 0..segments {
-        blocks.push(b.block(&format!("then{s}")));
-        blocks.push(b.block(&format!("else{s}")));
-        blocks.push(b.block(&format!("head{}", s + 1)));
+        blocks.push(b.block(format!("then{s}")));
+        blocks.push(b.block(format!("else{s}")));
+        blocks.push(b.block(format!("head{}", s + 1)));
     }
 
     for (i, &block) in blocks.iter().enumerate() {
@@ -325,9 +325,8 @@ fn summary_reuse_survives_a_restart_through_the_artifact_store() {
 
     // Second "process": edit arrived, memory is cold, only the store
     // remains.  The name index must surface the predecessor as a donor.
-    let session = CacheSession::new(
-        SessionCache::new().artifact_store(spec_core::PreparedStore::open(&dir)),
-    );
+    let session =
+        CacheSession::new(SessionCache::new().artifact_store(spec_core::PreparedStore::open(&dir)));
     let prepared = match session.acquire(&p2) {
         CacheOutcome::NeedsPrepare(guard) => guard.prepare(&p2),
         other => panic!("the edited fingerprint cannot be stored: {}", other.tag()),

@@ -11,6 +11,7 @@ use speculative_absint::core::{AnalysisOptions, CacheAnalysis};
 use speculative_absint::ir::builder::ProgramBuilder;
 use speculative_absint::ir::{BranchSemantics, IndexExpr, MemRef, Program};
 use speculative_absint::sim::{PredictorKind, SimConfig, SimInput, Simulator};
+use speculative_absint::vcfg::MergeStrategy;
 
 const LINES: usize = 8;
 const CASES: u64 = 48;
@@ -106,16 +107,53 @@ fn build(desc: &RandomProgram) -> Program {
     b.finish().expect("generated program is well-formed")
 }
 
-fn speculative_options(cache: CacheConfig) -> AnalysisOptions {
-    AnalysisOptions::builder().cache(cache).build().unwrap()
+/// One point of the option space the soundness properties are sampled over.
+#[derive(Clone, Copy, Debug)]
+struct Axes {
+    cache: CacheConfig,
+    shadow: bool,
+    merge: MergeStrategy,
+    dynamic_depth_bounding: bool,
 }
 
-fn baseline_options(cache: CacheConfig) -> AnalysisOptions {
-    AnalysisOptions::builder()
-        .baseline()
-        .cache(cache)
-        .build()
-        .unwrap()
+impl Axes {
+    /// The axes of `case`: consecutive cases walk the 2 × 2 × 2 × 2 grid of
+    /// geometry (fully associative or 2 sets × 4 ways, both `LINES` lines),
+    /// shadow tracking, merge strategy and dynamic depth bounding, so the
+    /// case budget is split evenly over every combination.
+    fn of_case(case: u64) -> Self {
+        let bit = |i: u32| (case >> i) & 1 == 1;
+        Self {
+            cache: if bit(0) {
+                CacheConfig::set_associative(2, LINES / 2, 64)
+            } else {
+                CacheConfig::fully_associative(LINES, 64)
+            },
+            shadow: bit(1),
+            merge: if bit(2) {
+                MergeStrategy::MergeAtRollback
+            } else {
+                MergeStrategy::JustInTime
+            },
+            dynamic_depth_bounding: bit(3),
+        }
+    }
+
+    fn options(&self, speculative: bool) -> AnalysisOptions {
+        AnalysisOptions::builder()
+            .speculative(speculative)
+            .cache(self.cache)
+            .shadow(self.shadow)
+            .merge_strategy(self.merge)
+            .dynamic_depth_bounding(self.dynamic_depth_bounding)
+            .build()
+            .unwrap()
+    }
+}
+
+/// The seed of one case, so a failure is reproduced from its message.
+fn case_seed(base: u64, case: u64) -> u64 {
+    base + (case << 16)
 }
 
 /// Soundness: every access the speculative analysis declares an observable
@@ -123,18 +161,19 @@ fn baseline_options(cache: CacheConfig) -> AnalysisOptions {
 /// adversarial branch predictor.
 #[test]
 fn must_hits_never_miss_concretely() {
-    let mut rng = Rng::new(0x5eed_0001);
     for case in 0..CASES {
+        let seed = case_seed(0x5eed_0001, case);
+        let axes = Axes::of_case(case);
+        let mut rng = Rng::new(seed);
         let desc = random_program(&mut rng);
         let input_value = rng.below(16);
         let secret = rng.below(16);
         let program = build(&desc);
-        let cache = CacheConfig::fully_associative(LINES, 64);
-        let result = CacheAnalysis::new(speculative_options(cache)).run(&program);
+        let result = CacheAnalysis::new(axes.options(true)).run(&program);
         for predictor in [PredictorKind::AlwaysWrong, PredictorKind::TwoBit] {
             let report = Simulator::new(
                 SimConfig::default()
-                    .with_cache(cache)
+                    .with_cache(axes.cache)
                     .with_predictor(predictor),
             )
             .run(&result.program, &SimInput::new(input_value, secret));
@@ -145,8 +184,8 @@ fn must_hits_never_miss_concretely() {
                 if let Some(access) = result.access_at(event.block, event.inst_index) {
                     assert!(
                         !access.observable_hit,
-                        "case {case} ({desc:?}): access {}[{}] declared must-hit but missed \
-                         concretely",
+                        "case {case} (seed {seed:#x}, {axes:?}, {predictor:?}, {desc:?}): \
+                         access {}[{}] declared must-hit but missed concretely",
                         access.region_name, access.inst_index
                     );
                 }
@@ -159,18 +198,22 @@ fn must_hits_never_miss_concretely() {
 /// non-speculative baseline (it only removes guarantees).
 #[test]
 fn speculation_only_removes_guarantees() {
-    let mut rng = Rng::new(0x5eed_0002);
     for case in 0..CASES {
-        let desc = random_program(&mut rng);
+        let seed = case_seed(0x5eed_0002, case);
+        let axes = Axes::of_case(case);
+        let desc = random_program(&mut Rng::new(seed));
         let program = build(&desc);
-        let cache = CacheConfig::fully_associative(LINES, 64);
-        let base = CacheAnalysis::new(baseline_options(cache)).run(&program);
-        let spec = CacheAnalysis::new(speculative_options(cache)).run(&program);
+        let base = CacheAnalysis::new(axes.options(false)).run(&program);
+        let spec = CacheAnalysis::new(axes.options(true)).run(&program);
         assert!(
             spec.miss_count() >= base.miss_count(),
-            "case {case} ({desc:?}): speculation removed a miss"
+            "case {case} (seed {seed:#x}, {axes:?}, {desc:?}): speculation removed a miss"
         );
-        assert_eq!(spec.access_count(), base.access_count(), "case {case}");
+        assert_eq!(
+            spec.access_count(),
+            base.access_count(),
+            "case {case} (seed {seed:#x}, {axes:?})"
+        );
     }
 }
 
