@@ -1,20 +1,19 @@
 //! Sharded-vs-threaded panel execution: how should a multi-program panel
 //! be parallelised?
 //!
-//! The session API (PR 1) fans one program's configurations out across
-//! threads; the batch layer fans the *programs* out across shards — scoped
-//! threads or `specan worker` subprocesses.  This harness times the same
-//! panel (N generated programs × the standard comparison configurations)
-//! under each strategy and checks that every strategy produces the same
-//! deterministic merged report.
+//! The session API fans one program's configurations out across threads;
+//! the batch layer fans the *programs* out across threads.  This harness
+//! times the same panel (N generated programs × the standard comparison
+//! configurations) three ways — one thread, configurations across threads
+//! per program, programs across threads — and checks that every strategy
+//! produces the same deterministic report.
 //!
 //! Knobs (environment):
 //!
 //! * `SPEC_BENCH_CACHE_LINES`  — cache/workload scale (default 128);
 //! * `SPEC_BENCH_SCAN_PROGRAMS` — bundle size (default 6);
-//! * `SPEC_BENCH_SCAN_JOBS`   — shard count (default: available parallelism);
-//! * `SPECAN_BIN`             — path to a built `specan`; enables the
-//!   worker-subprocess mode, which is skipped when unset.
+//! * `SPEC_BENCH_SCAN_JOBS`   — programs at once (default: available
+//!   parallelism).
 //!
 //! Pass `--json` to emit a machine-readable report (the CI bench-smoke job
 //! uploads it as an artifact).
@@ -24,7 +23,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use spec_bench::{bench_cache_lines, fmt_secs, print_table};
-use spec_core::batch::{run_bundle, ExecMode, PanelKind, PanelSpec};
+use spec_core::batch::{run_bundle, PanelKind, PanelSpec};
 use spec_core::session::Analyzer;
 use spec_core::BatchReport;
 use spec_workloads::ete_suite;
@@ -94,7 +93,7 @@ fn main() {
     // One process, one thread: the in-order reference everything else must
     // reproduce bit-for-bit.
     modes.push(timed("sequential", || {
-        run_bundle(&bundle, panel, 1, &ExecMode::InProcess).expect("sequential run")
+        run_bundle(&bundle, panel, 1).expect("sequential run")
     }));
 
     // The session API's axis: per-program, configurations across threads.
@@ -109,48 +108,25 @@ fn main() {
             .collect();
         // Stamp each per-program report as a one-program slice so the
         // merged result carries the same bundle checksum as `run_bundle`.
-        let checksum = spec_core::batch::panel_checksum(
-            panel,
-            programs
-                .iter()
-                .map(spec_ir::fingerprint::program_fingerprint),
-        );
-        let mut shards = Vec::new();
-        for (start, program) in programs.iter().enumerate() {
+        let fingerprints: Vec<_> = programs
+            .iter()
+            .map(spec_ir::fingerprint::program_fingerprint)
+            .collect();
+        let shards = programs.iter().enumerate().map(|(start, program)| {
             let prepared = Analyzer::new().prepare(program);
-            let report = prepared.run_suite(&configs).report().without_timing();
-            shards.push(BatchReport {
+            BatchReport {
                 panel,
-                stamp: Some(spec_core::BundleStamp {
-                    checksum,
-                    total: programs.len(),
-                    start,
-                }),
-                programs: vec![spec_core::batch::ProgramVerdict::from_report(
-                    report,
-                    prepared.fingerprint(),
-                )],
-            });
-        }
+                stamp: spec_core::BundleStamp::new(panel, fingerprints.iter().copied(), start),
+                programs: vec![spec_core::batch::ProgramVerdict::run(&prepared, &configs)],
+            }
+        });
         BatchReport::merge(shards).expect("merge")
     }));
 
-    // The batch layer's axis: programs across shards (scoped threads).
+    // The batch layer's axis: programs across threads.
     modes.push(timed("sharded-threads", || {
-        run_bundle(&bundle, panel, jobs, &ExecMode::InProcess).expect("sharded run")
+        run_bundle(&bundle, panel, jobs).expect("sharded run")
     }));
-
-    // Programs across worker subprocesses, when a specan binary is at hand.
-    let specan = std::env::var("SPECAN_BIN").ok().map(PathBuf::from);
-    match specan {
-        Some(worker_exe) if worker_exe.is_file() => {
-            modes.push(timed("sharded-workers", || {
-                run_bundle(&bundle, panel, jobs, &ExecMode::Subprocess { worker_exe })
-                    .expect("worker run")
-            }));
-        }
-        _ => eprintln!("SPECAN_BIN not set or not a file: skipping the worker-subprocess mode"),
-    }
 
     // Every strategy is an execution detail: the merged reports must agree.
     for mode in &modes[1..] {

@@ -1,70 +1,77 @@
-//! Sharded batch scanning: analyse a *bundle* of programs under a labelled
-//! configuration panel, fanned out across processes, with mergeable reports.
+//! Batch scanning: analyse a *bundle* of programs under a labelled
+//! configuration panel, fanned out across threads, with mergeable reports.
 //!
 //! [`crate::session`] scales one program across threads of one process; this
 //! module scales a **panel** — programs × labelled configurations — across
-//! shards.  The unit of exchange between shards is a deterministic JSON
+//! programs.  The unit of exchange between machines is a deterministic JSON
 //! report ([`BatchReport`], timing stripped via
 //! [`Report::without_timing`]), so the merged result of a sharded run is
-//! **bit-identical** to a single-process in-order run of the same panel, no
-//! matter how the panel was split or which shard finished first.  That
-//! determinism is what makes the reports CI-friendly: they can be diffed,
-//! cached, asserted against and merged across machines.
+//! **bit-identical** to an in-order run of the same panel, no matter how the
+//! panel was split or which program finished first.  That determinism is
+//! what makes the reports CI-friendly: they can be diffed, cached, asserted
+//! against and merged across machines.
 //!
 //! The pipeline:
 //!
 //! 1. [`discover_programs`] expands directories into a sorted, de-duplicated
 //!    list of `.spec` files — the *bundle*;
-//! 2. [`plan_shards`] splits the bundle into contiguous, near-even shards;
-//! 3. each shard is a serializable [`ShardSpec`] and runs either in-process
-//!    (scoped threads) or in a spawned worker subprocess
-//!    (`specan worker --shard-json <spec>`) via [`run_bundle`] — the worker
-//!    body itself is [`run_shard`], shared by both paths;
-//! 4. [`BatchReport::merge`] recombines the shard reports in bundle order
-//!    — verifying, via the [`BundleStamp`] every stamped report carries
-//!    (the [`panel_checksum`] over the full bundle's program fingerprints
-//!    plus the slice position), that the inputs are complete, compatible,
-//!    non-overlapping slices of one bundle — and the result serializes
-//!    with [`BatchReport::to_json`] / parses back with
-//!    [`BatchReport::from_json`].  `specan merge` is this fan-in as a CLI
-//!    step for artifacts produced on different machines.
+//! 2. [`parse_bundle`] reads, parses, name-checks and fingerprints every
+//!    file of the bundle exactly once; the programs it returns are the
+//!    programs analysed, and their fingerprints are what the
+//!    [`BundleStamp`] checksum folds over;
+//! 3. [`run_bundle_slice`] (or [`run_bundle`] for the whole bundle) runs the
+//!    panel over its slice through [`fan_out_catching`] — a dynamic work
+//!    queue of scoped threads that turns a panic into an error naming the
+//!    program — with [`ProgramVerdict::run`] as the per-program step, the
+//!    one every bundle path (cold scan, `scan --session-dir`, `serve`)
+//!    shares;
+//! 4. [`BatchReport::merge`] recombines per-machine slice reports in bundle
+//!    order — verifying, via the [`BundleStamp`] every report carries (the
+//!    [`panel_checksum`] over the full bundle's program fingerprints plus
+//!    the slice position), that the inputs are complete, compatible,
+//!    non-overlapping slices of one bundle — and the result serializes with
+//!    [`BatchReport::to_json`] / parses back with [`BatchReport::from_json`].
+//!    `specan merge` is this fan-in as a CLI step for artifacts produced on
+//!    different machines.
 //!
 //! # Example
 //!
 //! ```rust
-//! use spec_core::batch::{run_shard, PanelKind, PanelSpec, ShardSpec};
+//! use spec_core::batch::{run_bundle, BatchReport, PanelKind, PanelSpec};
 //!
 //! let dir = std::env::temp_dir().join("spec-batch-doc");
 //! std::fs::create_dir_all(&dir).unwrap();
 //! let path = dir.join("tiny.spec");
 //! std::fs::write(&path, "program tiny\nregion t 64\nblock main entry:\n  load t[0]\n  ret\n").unwrap();
 //!
-//! let spec = ShardSpec {
-//!     programs: vec![path],
-//!     panel: PanelSpec { kind: PanelKind::LeakCheck, cache_lines: 8 },
-//!     stamp: None,
-//! };
-//! let report = run_shard(&spec).unwrap();
+//! let panel = PanelSpec { kind: PanelKind::LeakCheck, cache_lines: 8 };
+//! let report = run_bundle(&[path], panel, 1).unwrap();
 //! assert_eq!(report.programs.len(), 1);
 //! assert!(!report.any_leak());
 //! // The JSON round-trips losslessly — the merge protocol depends on it.
-//! let parsed = spec_core::batch::BatchReport::from_json(&report.to_json()).unwrap();
+//! let parsed = BatchReport::from_json(&report.to_json()).unwrap();
 //! assert_eq!(parsed, report);
 //! ```
 
+use std::collections::HashSet;
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use spec_cache::CacheConfig;
 use spec_ir::fingerprint::{combined_fingerprint, program_fingerprint, Fingerprint};
 use spec_ir::text::parse_program;
+use spec_ir::Program;
 
+use crate::cache_session::relock;
 use crate::json::{self, JsonValue};
 use crate::options::AnalysisOptions;
-use crate::session::{comparison_configs, Analyzer, MergeError, Report, ReportRow};
+use crate::session::{
+    comparison_configs, Analyzer, MergeError, PreparedProgram, Report, ReportRow,
+};
 
 /// The label of the row a program's leak verdict is read from: every panel
 /// kind includes the paper's full speculative configuration under this
@@ -101,9 +108,9 @@ impl PanelKind {
 }
 
 /// The serializable description of a panel: which configuration family to
-/// run and on what cache geometry.  Carried inside every [`ShardSpec`] and
-/// [`BatchReport`] so shard outputs are self-describing and a merge can
-/// reject shards that ran different panels.
+/// run and on what cache geometry.  Carried inside every [`BatchReport`]
+/// so slice reports are self-describing and a merge can reject slices that
+/// ran different panels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PanelSpec {
     /// The configuration family.
@@ -199,6 +206,21 @@ pub struct BundleStamp {
 }
 
 impl BundleStamp {
+    /// The stamp of the slice starting at bundle index `start`, given the
+    /// fingerprints of the *whole* bundle in bundle order.
+    pub fn new(
+        panel: PanelSpec,
+        fingerprints: impl ExactSizeIterator<Item = Fingerprint>,
+        start: usize,
+    ) -> Self {
+        let total = fingerprints.len();
+        BundleStamp {
+            checksum: panel_checksum(panel, fingerprints),
+            total,
+            start,
+        }
+    }
+
     fn to_json(self) -> String {
         format!(
             "{{\"checksum\": {}, \"total\": {}, \"start\": {}}}",
@@ -240,21 +262,34 @@ pub fn panel_checksum(
     combined_fingerprint(&panel.signature(), fingerprints)
 }
 
-/// Fingerprints every program of `files` (the full bundle, in bundle
-/// order) and returns the bundle's [`panel_checksum`].  This is the
-/// pre-sharding pass every bundle command runs, so each machine of a
-/// `--shard K/N` matrix stamps its slice against the same full-bundle
-/// checksum.  Parsing is cheap next to analysis (the incremental layer
-/// leans on the same fact).
+/// One program of a bundle, read and parsed once by [`parse_bundle`].
+#[derive(Debug)]
+pub struct BundleProgram {
+    /// The file the program was read from.
+    pub path: PathBuf,
+    /// The parsed program — the very program that is analysed.
+    pub program: Program,
+    /// Its structural fingerprint (what the bundle checksum folds over).
+    pub fingerprint: Fingerprint,
+}
+
+/// Reads, parses and fingerprints every file of `files` (the full bundle,
+/// in bundle order) exactly once, rejecting duplicate program names.
+///
+/// Every bundle command analyses the programs this pass returns, so a file
+/// saved while a scan runs can never pair the stamp's fingerprint of one
+/// content with verdicts of another.  Each machine of a `--shard K/N`
+/// matrix parses the whole bundle, so its slice is stamped against the
+/// same full-bundle checksum; parsing is cheap next to analysis.
 ///
 /// # Errors
 ///
 /// Returns [`BatchError::Io`]/[`BatchError::Parse`] for unreadable or
 /// invalid files and [`BatchError::DuplicateProgram`] when two files
 /// declare the same program name.
-pub fn stamp_bundle(files: &[PathBuf], panel: PanelSpec) -> Result<Fingerprint, BatchError> {
-    let mut names: Vec<String> = Vec::with_capacity(files.len());
-    let mut fingerprints = Vec::with_capacity(files.len());
+pub fn parse_bundle(files: &[PathBuf]) -> Result<Vec<BundleProgram>, BatchError> {
+    let mut names: HashSet<String> = HashSet::with_capacity(files.len());
+    let mut bundle = Vec::with_capacity(files.len());
     for path in files {
         let source = std::fs::read_to_string(path).map_err(|error| BatchError::Io {
             path: path.clone(),
@@ -264,99 +299,18 @@ pub fn stamp_bundle(files: &[PathBuf], panel: PanelSpec) -> Result<Fingerprint, 
             path: path.clone(),
             message: err.to_string(),
         })?;
-        let name = program.name().to_string();
-        if names.contains(&name) {
-            return Err(BatchError::DuplicateProgram { name });
+        if !names.insert(program.name().to_string()) {
+            return Err(BatchError::DuplicateProgram {
+                name: program.name().to_string(),
+            });
         }
-        names.push(name);
-        fingerprints.push(program_fingerprint(&program));
+        bundle.push(BundleProgram {
+            path: path.clone(),
+            fingerprint: program_fingerprint(&program),
+            program,
+        });
     }
-    Ok(panel_checksum(panel, fingerprints))
-}
-
-/// One shard of a bundle: the program files this worker analyses, the
-/// panel it runs them under, and (when the caller knows the full bundle)
-/// the stamp placing the shard inside it.  Serializes to the JSON handed
-/// to `specan worker --shard-json`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// The `.spec` files of this shard, in bundle order.
-    pub programs: Vec<PathBuf>,
-    /// The panel to run.
-    pub panel: PanelSpec,
-    /// The shard's place in the full bundle; `None` produces an unstamped
-    /// report (hand-rolled worker invocations, ad-hoc shards).
-    pub stamp: Option<BundleStamp>,
-}
-
-impl ShardSpec {
-    /// Serializes the shard for the worker command line.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"programs\": [");
-        for (i, path) in self.programs.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json::string(&path.display().to_string()));
-        }
-        out.push_str("], \"panel\": ");
-        out.push_str(&self.panel.to_json());
-        if let Some(stamp) = self.stamp {
-            out.push_str(", \"bundle\": ");
-            out.push_str(&stamp.to_json());
-        }
-        out.push('}');
-        out
-    }
-
-    /// Parses a shard back from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BatchError::Json`] for syntactically invalid input and
-    /// [`BatchError::MalformedReport`] when required fields are missing.
-    pub fn from_json(input: &str) -> Result<Self, BatchError> {
-        let value = JsonValue::parse(input)?;
-        let programs = value
-            .get("programs")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| BatchError::malformed("shard programs"))?
-            .iter()
-            .map(|p| {
-                p.as_str()
-                    .map(PathBuf::from)
-                    .ok_or_else(|| BatchError::malformed("shard program path"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let panel = PanelSpec::from_json(
-            value
-                .get("panel")
-                .ok_or_else(|| BatchError::malformed("shard panel"))?,
-        )?;
-        let stamp = value
-            .get("bundle")
-            .map(BundleStamp::from_json)
-            .transpose()?;
-        Ok(ShardSpec {
-            programs,
-            panel,
-            stamp,
-        })
-    }
-}
-
-/// How [`run_bundle`] executes its shards.
-#[derive(Clone, Debug)]
-pub enum ExecMode {
-    /// Run every shard on a scoped thread of this process.
-    InProcess,
-    /// Spawn one `<worker_exe> worker --shard-json <spec>` subprocess per
-    /// shard and merge their stdout reports.  The executable is normally
-    /// `std::env::current_exe()` of the `specan` binary itself.
-    Subprocess {
-        /// Path of the worker executable.
-        worker_exe: PathBuf,
-    },
+    Ok(bundle)
 }
 
 /// Errors of the batch layer.
@@ -378,8 +332,9 @@ pub enum BatchError {
     },
     /// No `.spec` files were found.
     NoPrograms,
-    /// A discovered path is not valid UTF-8, so it cannot travel through
-    /// the JSON worker protocol losslessly.
+    /// A discovered path is not valid UTF-8.  `analyze` reads and names
+    /// programs through the path's `display()` string, which would be
+    /// lossy — and could name another file — for such a path.
     NonUtf8Path {
         /// The offending path (lossily rendered).
         path: PathBuf,
@@ -392,30 +347,30 @@ pub enum BatchError {
     },
     /// The panel configuration is invalid.
     InvalidPanel(String),
-    /// A worker subprocess failed.
-    Worker {
-        /// The worker's exit code, if it exited at all.
-        code: Option<i32>,
-        /// The worker's stderr (trimmed).
-        stderr: String,
+    /// The analysis of one program panicked.
+    Panicked {
+        /// The program's file.
+        path: PathBuf,
+        /// The panic's message.
+        message: String,
     },
-    /// A report or shard document is not valid JSON.
+    /// A report is not valid JSON.
     Json(json::JsonError),
-    /// A report or shard document is valid JSON but not a valid document.
+    /// A report is valid JSON but not a valid report.
     MalformedReport(String),
     /// Shard reports could not be merged.
     Merge(MergeError),
     /// Shard reports ran different panels.
     PanelMismatch,
     /// Shard reports disagree about the bundle they slice: different
-    /// checksums or totals, or a mix of stamped and unstamped reports.
+    /// checksums or totals.
     StampMismatch,
-    /// Two stamped shard reports cover the same bundle position.
+    /// Two shard reports cover the same bundle position.
     OverlappingShards {
         /// The first doubly-covered bundle index.
         index: usize,
     },
-    /// The stamped shard reports do not cover the whole bundle.
+    /// The shard reports do not cover the whole bundle.
     IncompleteBundle {
         /// Programs covered by the supplied slices.
         covered: usize,
@@ -441,20 +396,16 @@ impl fmt::Display for BatchError {
             BatchError::NoPrograms => write!(f, "no .spec programs found"),
             BatchError::NonUtf8Path { path } => write!(
                 f,
-                "`{}` is not valid UTF-8 (program paths must be UTF-8 to cross \
-                 the JSON worker protocol)",
+                "`{}` is not valid UTF-8 (program paths must be UTF-8: programs \
+                 are read and reported through their rendered path)",
                 path.display()
             ),
             BatchError::DuplicateProgram { name } => {
                 write!(f, "program `{name}` appears more than once in the bundle")
             }
             BatchError::InvalidPanel(message) => write!(f, "invalid panel: {message}"),
-            BatchError::Worker { code, stderr } => {
-                write!(f, "worker failed (exit {code:?})")?;
-                if !stderr.is_empty() {
-                    write!(f, ": {stderr}")?;
-                }
-                Ok(())
+            BatchError::Panicked { path, message } => {
+                write!(f, "{}: analysis panicked: {message}", path.display())
             }
             BatchError::Json(err) => write!(f, "{err}"),
             BatchError::MalformedReport(message) => write!(f, "malformed report: {message}"),
@@ -462,8 +413,8 @@ impl fmt::Display for BatchError {
             BatchError::PanelMismatch => write!(f, "shard reports ran different panels"),
             BatchError::StampMismatch => write!(
                 f,
-                "shard reports do not slice the same bundle (bundle checksum, \
-                 total, or stamp presence differs)"
+                "shard reports do not slice the same bundle (bundle checksum \
+                 or total differs)"
             ),
             BatchError::OverlappingShards { index } => write!(
                 f,
@@ -529,10 +480,9 @@ pub fn discover_programs(paths: &[PathBuf]) -> Result<Vec<PathBuf>, BatchError> 
             if path.is_dir() {
                 walk(&path, out, visited)?;
             } else if path.extension().is_some_and(|ext| ext == "spec") {
-                // The path must survive the JSON worker protocol, which
-                // carries it as a UTF-8 string; reject it here, where the
-                // error can name the file, instead of failing opaquely
-                // inside a worker subprocess.
+                // Programs are read and reported through their rendered
+                // path; reject a lossy one here, where the error can name
+                // the file, instead of failing opaquely later.
                 if path.to_str().is_none() {
                     return Err(BatchError::NonUtf8Path { path });
                 }
@@ -571,9 +521,7 @@ pub fn discover_programs(paths: &[PathBuf]) -> Result<Vec<PathBuf>, BatchError> 
 /// The K-th (1-based) of exactly `n` contiguous, near-even slices of
 /// `n_items` (the first `n_items % n` slices hold one extra item).  Slices
 /// may be empty when `n > n_items` — a CI fleet is allowed more machines
-/// than programs.  This is the one source of truth for the split
-/// arithmetic: [`plan_shards`] and the CLI's `--shard K/N` both use it, so
-/// a per-machine slice always matches the corresponding process shard.
+/// than programs.  This is the split arithmetic of the CLI's `--shard K/N`.
 ///
 /// # Panics
 ///
@@ -586,231 +534,149 @@ pub fn shard_slice(n_items: usize, k: usize, n: usize) -> Range<usize> {
     start..start + base + usize::from(k - 1 < extra)
 }
 
-/// Splits `n_programs` into at most `jobs` contiguous, near-even shards
-/// ([`shard_slice`] does the arithmetic; empty shards are never planned).
-/// Contiguity is what lets [`BatchReport::merge`] restore the bundle order
-/// by concatenating shard reports in shard order.
-pub fn plan_shards(n_programs: usize, jobs: usize) -> Vec<Range<usize>> {
-    let shards = jobs.max(1).min(n_programs);
-    (1..=shards)
-        .map(|k| shard_slice(n_programs, k, shards))
-        .collect()
-}
-
-/// Runs one shard to completion in this process: loads every program,
-/// runs the panel via [`crate::session::PreparedProgram::run_suite`], and
-/// returns the deterministic (timing-stripped) shard report.  This is the
-/// body of `specan worker` and the per-thread work of in-process sharding —
-/// both execution paths share it, which is why their merged outputs agree.
-///
-/// The shard is the batch layer's unit of parallelism, so the suites inside
-/// it run on one thread: `jobs` shards never fan out into `jobs × configs`
-/// threads, and a worker fleet saturates its cores without oversubscribing
-/// them.  (To parallelise one program's configurations instead, use
-/// [`crate::session::PreparedProgram::run_suite`] directly.)
-///
-/// # Errors
-///
-/// Returns [`BatchError::Io`]/[`BatchError::Parse`] for unreadable or
-/// invalid program files, [`BatchError::InvalidPanel`] for a degenerate
-/// panel, and [`BatchError::DuplicateProgram`] when two files of the shard
-/// declare the same program name.
-pub fn run_shard(spec: &ShardSpec) -> Result<BatchReport, BatchError> {
-    let configs = spec.panel.configs()?;
-    let mut programs: Vec<ProgramVerdict> = Vec::with_capacity(spec.programs.len());
-    for path in &spec.programs {
-        let source = std::fs::read_to_string(path).map_err(|error| BatchError::Io {
-            path: path.clone(),
-            error,
-        })?;
-        let program = parse_program(&source).map_err(|err| BatchError::Parse {
-            path: path.clone(),
-            message: err.to_string(),
-        })?;
-        let prepared = Analyzer::new()
-            .max_suite_threads(std::num::NonZeroUsize::MIN)
-            .prepare(&program);
-        let report = prepared.run_suite(&configs).report().without_timing();
-        if programs.iter().any(|p| p.report.program == report.program) {
-            return Err(BatchError::DuplicateProgram {
-                name: report.program,
-            });
-        }
-        programs.push(ProgramVerdict::from_report(report, prepared.fingerprint()));
-    }
-    Ok(BatchReport {
-        panel: spec.panel,
-        stamp: spec.stamp,
-        programs,
-    })
-}
-
-/// Runs a whole bundle sharded `jobs` ways and returns the merged report.
+/// Runs a whole bundle `jobs`-wide and returns its report.
 ///
 /// `programs` is the bundle in panel order (normally the output of
-/// [`discover_programs`]); it is split with [`plan_shards`] and executed
-/// per `mode` — scoped threads in-process, or one spawned worker
-/// subprocess per shard.  Subprocess workers are all spawned before any is
-/// awaited, so at most `jobs` processes run concurrently and waiting in
-/// shard order costs no parallelism.
-///
-/// The merged report is bit-identical to `run_shard` over the undivided
-/// bundle — sharding is an execution detail, not a semantic one.
+/// [`discover_programs`]).  The report is bit-identical whatever `jobs` is
+/// — parallelism is an execution detail, not a semantic one.
 ///
 /// # Errors
 ///
-/// Propagates shard failures ([`run_shard`]'s errors, or
-/// [`BatchError::Worker`] when a subprocess dies) and merge conflicts.
+/// Everything [`run_bundle_slice`] raises.
 pub fn run_bundle(
     programs: &[PathBuf],
     panel: PanelSpec,
     jobs: usize,
-    mode: &ExecMode,
 ) -> Result<BatchReport, BatchError> {
-    run_bundle_slice(programs, 0..programs.len(), panel, jobs, mode)
+    run_bundle_slice(programs, 0..programs.len(), panel, jobs)
 }
 
-/// Runs the `slice` of a bundle sharded `jobs` ways and returns the merged
-/// **slice report**, stamped against the full bundle: its [`BundleStamp`]
-/// carries the checksum over *all* of `bundle`, so per-machine artifacts of
-/// a `--shard K/N` matrix recombine — and verify — through
+/// Runs the `slice` of a bundle `jobs`-wide and returns the **slice
+/// report**, stamped against the full bundle: its [`BundleStamp`] carries
+/// the checksum over *all* of `bundle`, so per-machine artifacts of a
+/// `--shard K/N` matrix recombine — and verify — through
 /// [`BatchReport::merge`].  An empty slice is legal (a CI fleet may have
 /// more machines than programs) and yields a stamped, program-free report.
 ///
+/// The whole bundle is parsed once ([`parse_bundle`]); the slice's programs
+/// are then prepared and run from that parse, `jobs` at a time, each on one
+/// suite thread so `jobs` programs never fan out into `jobs × configs`
+/// threads.  A prepared program is dropped as soon as its verdict exists.
+///
 /// # Errors
 ///
-/// Everything [`run_bundle`] raises; [`BatchError::NoPrograms`] refers to
-/// an empty *bundle*, not an empty slice.
+/// [`BatchError::NoPrograms`] for an empty *bundle* (not an empty slice),
+/// [`BatchError::InvalidPanel`] for a degenerate panel, [`parse_bundle`]'s
+/// errors, and [`BatchError::Panicked`] naming a program whose analysis
+/// panicked.
 pub fn run_bundle_slice(
     bundle: &[PathBuf],
     slice: Range<usize>,
     panel: PanelSpec,
     jobs: usize,
-    mode: &ExecMode,
 ) -> Result<BatchReport, BatchError> {
     if bundle.is_empty() {
         return Err(BatchError::NoPrograms);
     }
-    // The full-bundle checksum every slice stamps itself against.
-    let checksum = stamp_bundle(bundle, panel)?;
-    let stamp_at = |start: usize| BundleStamp {
-        checksum,
-        total: bundle.len(),
-        start,
-    };
-    let files = &bundle[slice.clone()];
-    if files.is_empty() {
-        return Ok(BatchReport {
-            panel,
-            stamp: Some(stamp_at(slice.start)),
-            programs: Vec::new(),
-        });
-    }
-    let shards: Vec<ShardSpec> = plan_shards(files.len(), jobs)
-        .into_iter()
-        .map(|range| ShardSpec {
-            programs: files[range.clone()].to_vec(),
-            panel,
-            stamp: Some(stamp_at(slice.start + range.start)),
-        })
-        .collect();
-    let reports = match mode {
-        ExecMode::InProcess => run_shards_in_process(&shards)?,
-        ExecMode::Subprocess { worker_exe } => run_shards_subprocess(&shards, worker_exe)?,
-    };
-    BatchReport::merge_slices(reports)
+    let configs = panel.configs()?;
+    let parsed = parse_bundle(bundle)?;
+    let stamp = BundleStamp::new(panel, parsed.iter().map(|p| p.fingerprint), slice.start);
+    let programs: Vec<&BundleProgram> = parsed[slice].iter().collect();
+    Ok(BatchReport {
+        panel,
+        stamp,
+        programs: run_cold(&programs, &configs, jobs)?,
+    })
 }
 
-fn run_shards_in_process(shards: &[ShardSpec]) -> Result<Vec<BatchReport>, BatchError> {
-    if let [only] = shards {
-        return Ok(vec![run_shard(only)?]);
-    }
-    let mut slots: Vec<Option<Result<BatchReport, BatchError>>> =
-        shards.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (shard, slot) in shards.iter().zip(slots.iter_mut()) {
-            scope.spawn(move || *slot = Some(run_shard(shard)));
-        }
+/// Prepares and runs every program of `programs` `jobs`-wide, returning
+/// their verdicts in input order.  Each program is prepared cold on one
+/// suite thread and dropped once its verdict exists.
+pub(crate) fn run_cold(
+    programs: &[&BundleProgram],
+    configs: &[(String, AnalysisOptions)],
+    jobs: usize,
+) -> Result<Vec<ProgramVerdict>, BatchError> {
+    // Largest programs first, with instruction count standing in for
+    // analysis cost: a big program late in bundle order would otherwise
+    // start last and stretch the whole scan by its run.
+    let mut queue: Vec<usize> = (0..programs.len()).collect();
+    queue.sort_by_key(|&i| std::cmp::Reverse(programs[i].program.instruction_count()));
+    let slots = fan_out_catching(&queue, jobs, |&i| {
+        let prepared = Analyzer::new()
+            .max_suite_threads(NonZeroUsize::MIN)
+            .prepare(&programs[i].program);
+        ProgramVerdict::run(&prepared, configs)
     });
+    let mut slots: Vec<(usize, Result<ProgramVerdict, String>)> =
+        queue.into_iter().zip(slots).collect();
+    slots.sort_by_key(|(i, _)| *i);
     slots
         .into_iter()
-        .map(|slot| slot.expect("every shard ran"))
+        .map(|(i, slot)| {
+            slot.map_err(|message| BatchError::Panicked {
+                path: programs[i].path.clone(),
+                message,
+            })
+        })
         .collect()
 }
 
-fn run_shards_subprocess(
-    shards: &[ShardSpec],
-    worker_exe: &Path,
-) -> Result<Vec<BatchReport>, BatchError> {
-    // The shard spec travels over the worker's stdin (`--shard-json -`):
-    // a monorepo shard can list thousands of paths, which would overflow
-    // the platform's per-argument size limit as an argv string.
-    let spawn = |shard: &ShardSpec| -> Result<Child, BatchError> {
-        let io_err = |error| BatchError::Io {
-            path: worker_exe.to_path_buf(),
-            error,
+/// Renders a `catch_unwind` payload as the panic's message (the common
+/// `&str`/`String` payloads verbatim, a placeholder otherwise).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// Fans `work` out over `items` across at most `threads` workers (the
+/// calling thread plus scoped threads) pulling from one dynamic queue, and
+/// returns the results in input order.  Per-item panics are caught: a
+/// poisoned item lands in its slot as `Err(message)` instead of unwinding
+/// the pool — which, inside `serve`'s worker threads, would kill the entire
+/// server, and in a CLI scan would end the process without naming the
+/// program.
+pub fn fan_out_catching<T, R, F>(items: &[T], threads: usize, work: F) -> Vec<Result<R, String>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<Result<R, String>>>> =
+        Mutex::new(items.iter().map(|_| None).collect());
+    let worker = || loop {
+        let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let Some(item) = items.get(index) else {
+            break;
         };
-        let mut child = Command::new(worker_exe)
-            .arg("worker")
-            .arg("--shard-json")
-            .arg("-")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(io_err)?;
-        // Write the spec and close stdin so the worker sees EOF.  The
-        // worker's first act is draining stdin, so this cannot deadlock
-        // against its (not yet produced) output.
-        use std::io::Write as _;
-        let mut stdin = child.stdin.take().expect("stdin was piped");
-        if let Err(error) = stdin.write_all(shard.to_json().as_bytes()) {
-            // A broken pipe means the worker died before draining stdin
-            // (wrong binary, early usage error).  Reap it — no zombie —
-            // and surface its stderr, which explains the death better
-            // than the pipe error does.
-            drop(stdin);
-            return match child.wait_with_output() {
-                Ok(output) if !output.status.success() => Err(BatchError::Worker {
-                    code: output.status.code(),
-                    stderr: String::from_utf8_lossy(&output.stderr).trim().to_string(),
-                }),
-                _ => Err(io_err(error)),
-            };
-        }
-        drop(stdin);
-        Ok(child)
+        // AssertUnwindSafe: a panicking `work` may leave `item`'s interior
+        // caches half-updated, but every shared structure it can reach is
+        // lock-protected and re-acquired through `relock`, and the item's
+        // result is discarded as an error.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(item)))
+            .map_err(|payload| panic_message(payload.as_ref()));
+        relock(&slots)[index] = Some(outcome);
     };
-    // Spawn everything up front; collect in shard order afterwards.
-    let children: Vec<Result<Child, BatchError>> = shards.iter().map(spawn).collect();
-    let mut reports = Vec::with_capacity(shards.len());
-    let mut first_error = None;
-    for child in children {
-        let outcome = child.and_then(|child| {
-            let output = child.wait_with_output().map_err(|error| BatchError::Io {
-                path: worker_exe.to_path_buf(),
-                error,
-            })?;
-            if !output.status.success() {
-                return Err(BatchError::Worker {
-                    code: output.status.code(),
-                    stderr: String::from_utf8_lossy(&output.stderr).trim().to_string(),
-                });
-            }
-            BatchReport::from_json(&String::from_utf8_lossy(&output.stdout))
-        });
-        // Even on error, keep draining the remaining children so none is
-        // left running (wait_with_output reaps each one).
-        match outcome {
-            Ok(report) => reports.push(report),
-            Err(err) if first_error.is_none() => first_error = Some(err),
-            Err(_) => {}
+    // The calling thread is one of the workers: `threads == 1` spawns
+    // nothing, and one stream of items keeps the caller's malloc arena.
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(items.len()) {
+            scope.spawn(worker);
         }
-    }
-    match first_error {
-        Some(err) => Err(err),
-        None => Ok(reports),
-    }
+        worker();
+    });
+    slots
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .into_iter()
+        // Every index below `items.len()` is claimed by some worker, and
+        // the guarded region cannot unwind past the slot write.
+        .map(|slot| slot.expect("every item fills its slot"))
+        .collect()
 }
 
 /// One program's slice of a [`BatchReport`]: its per-configuration report,
@@ -829,6 +695,14 @@ pub struct ProgramVerdict {
 }
 
 impl ProgramVerdict {
+    /// Runs the panel's `configs` on `prepared` and derives its verdict —
+    /// the per-program step every bundle path shares, which is why their
+    /// reports agree byte for byte.
+    pub fn run(prepared: &PreparedProgram, configs: &[(String, AnalysisOptions)]) -> Self {
+        let report = prepared.run_suite(configs).report().without_timing();
+        Self::from_report(report, prepared.fingerprint())
+    }
+
     /// Derives the leak verdict from the report's [`VERDICT_LABEL`] row —
     /// the one place the "leaks iff `unsafe_secret_accesses > 0` under the
     /// full speculative configuration" rule lives.
@@ -857,128 +731,84 @@ impl ProgramVerdict {
 pub struct BatchReport {
     /// The panel every program was analysed under.
     pub panel: PanelSpec,
-    /// The slice's place in the full bundle; `None` for unstamped reports
-    /// (hand-rolled worker shards), which merge without verification.
-    pub stamp: Option<BundleStamp>,
+    /// The slice's place in the full bundle.
+    pub stamp: BundleStamp,
     /// Per-program results, in panel (bundle) order.
     pub programs: Vec<ProgramVerdict>,
 }
 
 impl BatchReport {
     /// Combines shard reports into the **complete** bundle report,
-    /// verifying — when the shards are stamped, which everything this
-    /// workspace emits is — that they are compatible slices of one bundle
-    /// and that together they cover it exactly.  This is the cross-machine
-    /// fan-in behind `specan merge`: it refuses to fabricate a "green"
-    /// merged artifact out of mismatched, overlapping or incomplete
-    /// slices.
+    /// verifying that they are compatible slices of one bundle and that
+    /// together they cover it exactly.  This is the cross-machine fan-in
+    /// behind `specan merge`: it refuses to fabricate a "green" merged
+    /// artifact out of mismatched, overlapping or incomplete slices.
     ///
-    /// # Errors
-    ///
-    /// Everything [`BatchReport::merge_slices`] raises, plus
-    /// [`BatchError::IncompleteBundle`] when the (stamped) slices do not
-    /// cover the whole bundle.
-    pub fn merge(shards: impl IntoIterator<Item = BatchReport>) -> Result<Self, BatchError> {
-        let merged = Self::merge_slices(shards)?;
-        if let Some(stamp) = merged.stamp {
-            if stamp.start != 0 || merged.programs.len() != stamp.total {
-                return Err(BatchError::IncompleteBundle {
-                    covered: merged.programs.len(),
-                    total: stamp.total,
-                });
-            }
-        }
-        Ok(merged)
-    }
-
-    /// Combines shard reports into one contiguous slice report — the
-    /// relaxed fan-in [`run_bundle_slice`] uses for one machine's share of
-    /// a `--shard K/N` matrix, where full coverage is someone else's job.
-    ///
-    /// Stamped inputs are sorted by their bundle position and verified:
-    /// same panel, same checksum and total, contiguous non-overlapping
-    /// coverage; when the result happens to cover the whole bundle, the
-    /// checksum is recomputed from the merged program fingerprints and
-    /// compared against the claim.  Unstamped inputs are concatenated in
-    /// input order, with only the panel and duplicate checks of old.
+    /// Inputs are sorted by their bundle position and verified: same panel,
+    /// same checksum and total, contiguous non-overlapping coverage of the
+    /// whole bundle; the checksum is then recomputed from the merged
+    /// program fingerprints and compared against the claim.
     ///
     /// # Errors
     ///
     /// Returns [`BatchError::Merge`] for an empty input,
     /// [`BatchError::PanelMismatch`]/[`BatchError::StampMismatch`] for
     /// incompatible shards, [`BatchError::OverlappingShards`] when two
-    /// slices cover the same bundle position, a gap inside the supplied
-    /// slices as [`BatchError::IncompleteBundle`],
-    /// [`BatchError::ChecksumMismatch`] when a complete merge does not
-    /// reproduce the claimed checksum, and
-    /// [`BatchError::DuplicateProgram`] / duplicate-label
-    /// [`BatchError::Merge`] for ambiguous contents.
-    pub fn merge_slices(shards: impl IntoIterator<Item = BatchReport>) -> Result<Self, BatchError> {
+    /// slices cover the same bundle position,
+    /// [`BatchError::IncompleteBundle`] for a gap or a missing slice,
+    /// [`BatchError::ChecksumMismatch`] when the merge does not reproduce
+    /// the claimed checksum, and [`BatchError::DuplicateProgram`] /
+    /// duplicate-label [`BatchError::Merge`] for ambiguous contents.
+    pub fn merge(shards: impl IntoIterator<Item = BatchReport>) -> Result<Self, BatchError> {
         let mut shards: Vec<BatchReport> = shards.into_iter().collect();
         let first = shards.first().ok_or(BatchError::Merge(MergeError::Empty))?;
-        let panel = first.panel;
-        let reference = first.stamp;
+        let (panel, reference) = (first.panel, first.stamp);
         for shard in &shards {
             if shard.panel != panel {
                 return Err(BatchError::PanelMismatch);
             }
-            match (shard.stamp, reference) {
-                (Some(stamp), Some(reference))
-                    if stamp.checksum == reference.checksum && stamp.total == reference.total => {}
-                (None, None) => {}
-                _ => return Err(BatchError::StampMismatch),
+            if shard.stamp.checksum != reference.checksum || shard.stamp.total != reference.total {
+                return Err(BatchError::StampMismatch);
             }
         }
-        let merged_stamp = match reference {
-            Some(reference) => {
-                // Slices in bundle order; verify they tile without overlap
-                // or gap.  (Empty slices are legal anywhere their start
-                // matches the running position.)
-                shards.sort_by_key(|shard| shard.stamp.expect("checked stamped").start);
-                let covered: usize = shards.iter().map(|shard| shard.programs.len()).sum();
-                // Program-free slices cover nothing, so they play no part
-                // in the tiling walk — wherever their start happens to sit
-                // relative to the populated slices (a legal empty slice of
-                // a small bundle can share a start with a populated one).
-                let start = shards
-                    .iter()
-                    .find(|shard| !shard.programs.is_empty())
-                    .map(|shard| shard.stamp.expect("checked stamped").start)
-                    .unwrap_or(0);
-                let mut position = start;
-                for shard in &shards {
-                    if shard.programs.is_empty() {
-                        continue;
-                    }
-                    let stamp = shard.stamp.expect("checked stamped");
-                    if stamp.start < position {
-                        return Err(BatchError::OverlappingShards { index: stamp.start });
-                    }
-                    if stamp.start > position {
-                        return Err(BatchError::IncompleteBundle {
-                            covered,
-                            total: reference.total,
-                        });
-                    }
-                    position += shard.programs.len();
-                }
-                if position > reference.total {
-                    return Err(BatchError::StampMismatch);
-                }
-                Some(BundleStamp {
-                    checksum: reference.checksum,
-                    total: reference.total,
-                    start,
-                })
-            }
-            None => None,
+        // Slices in bundle order; verify they tile `0..total` without
+        // overlap or gap.  Program-free slices cover nothing, so they play
+        // no part in the tiling walk — wherever their start happens to sit
+        // (a legal empty slice of a small bundle can share a start with a
+        // populated one).
+        shards.sort_by_key(|shard| shard.stamp.start);
+        let covered: usize = shards.iter().map(|shard| shard.programs.len()).sum();
+        let incomplete = BatchError::IncompleteBundle {
+            covered,
+            total: reference.total,
         };
+        let mut position = 0;
+        for shard in shards.iter().filter(|shard| !shard.programs.is_empty()) {
+            if shard.stamp.start < position {
+                return Err(BatchError::OverlappingShards {
+                    index: shard.stamp.start,
+                });
+            }
+            if shard.stamp.start > position {
+                return Err(incomplete);
+            }
+            position += shard.programs.len();
+        }
+        if position > reference.total {
+            return Err(BatchError::StampMismatch);
+        }
+        if position < reference.total {
+            return Err(incomplete);
+        }
         // Absorb every shard — the first included — through the duplicate
         // checks: a parsed foreign artifact may carry internal duplicates.
         let mut merged = BatchReport {
             panel,
-            stamp: merged_stamp,
-            programs: Vec::new(),
+            stamp: BundleStamp {
+                start: 0,
+                ..reference
+            },
+            programs: Vec::with_capacity(covered),
         };
         for shard in shards {
             for verdict in shard.programs {
@@ -1004,16 +834,11 @@ impl BatchReport {
                 merged.programs.push(verdict);
             }
         }
-        if let Some(stamp) = merged.stamp {
-            if stamp.start == 0 && merged.programs.len() == stamp.total {
-                // A complete merge must reproduce the claimed checksum from
-                // the verdicts it actually absorbed.
-                let recomputed =
-                    panel_checksum(panel, merged.programs.iter().map(|p| p.fingerprint));
-                if recomputed != stamp.checksum {
-                    return Err(BatchError::ChecksumMismatch);
-                }
-            }
+        // The merge must reproduce the claimed checksum from the verdicts
+        // it actually absorbed.
+        let recomputed = panel_checksum(panel, merged.programs.iter().map(|p| p.fingerprint));
+        if recomputed != reference.checksum {
+            return Err(BatchError::ChecksumMismatch);
         }
         Ok(merged)
     }
@@ -1034,9 +859,7 @@ impl BatchReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"panel\": {},\n", self.panel.to_json()));
-        if let Some(stamp) = self.stamp {
-            out.push_str(&format!("  \"bundle\": {},\n", stamp.to_json()));
-        }
+        out.push_str(&format!("  \"bundle\": {},\n", self.stamp.to_json()));
         out.push_str(&format!("  \"leaks\": {},\n", self.leak_count()));
         out.push_str("  \"programs\": [\n");
         for (i, verdict) in self.programs.iter().enumerate() {
@@ -1090,12 +913,13 @@ impl BatchReport {
     }
 
     /// Parses a report back from [`BatchReport::to_json`] output (e.g. a
-    /// worker subprocess's stdout).
+    /// `specan scan --shard K/N --json` artifact).
     ///
     /// # Errors
     ///
     /// Returns [`BatchError::Json`] for invalid JSON and
-    /// [`BatchError::MalformedReport`] for a structurally wrong document.
+    /// [`BatchError::MalformedReport`] for a structurally wrong document,
+    /// including one without a bundle stamp.
     pub fn from_json(input: &str) -> Result<Self, BatchError> {
         let value = JsonValue::parse(input)?;
         let panel = PanelSpec::from_json(
@@ -1103,10 +927,13 @@ impl BatchReport {
                 .get("panel")
                 .ok_or_else(|| BatchError::malformed("report panel"))?,
         )?;
-        let stamp = value
-            .get("bundle")
-            .map(BundleStamp::from_json)
-            .transpose()?;
+        let stamp = BundleStamp::from_json(value.get("bundle").ok_or_else(|| {
+            BatchError::MalformedReport(
+                "no bundle stamp: regenerate the artifact with this specan \
+                 version (unstamped reports cannot be verified)"
+                    .to_string(),
+            )
+        })?)?;
         let mut programs = Vec::new();
         for entry in value
             .get("programs")
@@ -1281,27 +1108,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_shards_is_contiguous_near_even_and_complete() {
-        for n in 0..20 {
-            for jobs in 1..8 {
-                let ranges = plan_shards(n, jobs);
-                assert!(ranges.len() <= jobs.min(n.max(1)));
-                let mut covered = 0;
-                let mut sizes = Vec::new();
-                for range in &ranges {
-                    assert_eq!(range.start, covered, "shards must be contiguous");
-                    covered = range.end;
-                    sizes.push(range.len());
-                }
-                assert_eq!(covered, n, "every program must land in a shard");
-                if let (Some(max), Some(min)) = (sizes.iter().max(), sizes.iter().min()) {
-                    assert!(max - min <= 1, "shards must be near-even: {sizes:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn shard_slice_allows_more_machines_than_programs() {
         // 3 items over 5 machines: the first three slices hold one each,
         // the rest are legally empty.
@@ -1316,34 +1122,6 @@ mod tests {
             covered = range.end;
         }
         assert_eq!(covered, 3);
-    }
-
-    #[test]
-    fn shard_spec_round_trips_through_json() {
-        let spec = ShardSpec {
-            programs: vec![
-                PathBuf::from("a \"quoted\" path.spec"),
-                PathBuf::from("dir/b.spec"),
-            ],
-            panel: PanelSpec {
-                kind: PanelKind::Comparison,
-                cache_lines: 128,
-            },
-            stamp: None,
-        };
-        assert_eq!(ShardSpec::from_json(&spec.to_json()).unwrap(), spec);
-        // A stamped shard round-trips its bundle placement too.
-        let stamped = ShardSpec {
-            stamp: Some(BundleStamp {
-                checksum: Fingerprint(0xdead_beef),
-                total: 7,
-                start: 3,
-            }),
-            ..spec
-        };
-        assert_eq!(ShardSpec::from_json(&stamped.to_json()).unwrap(), stamped);
-        assert!(ShardSpec::from_json("{\"programs\": 3}").is_err());
-        assert!(ShardSpec::from_json("not json").is_err());
     }
 
     #[test]
@@ -1383,7 +1161,7 @@ mod tests {
             "program bad\nregion t 64\nblock main entry:\n  load t[0]\n  ret\n",
         )
         .unwrap();
-        // The lossy path would break the worker protocol; fail up front.
+        // A lossy rendered path could name another file; fail up front.
         assert!(matches!(
             discover_programs(std::slice::from_ref(&scratch.dir)),
             Err(BatchError::NonUtf8Path { .. })
@@ -1407,27 +1185,19 @@ mod tests {
     #[test]
     fn merge_keeps_shard_order_and_rejects_duplicates() {
         let scratch = Scratch::new(&[("a", "alpha"), ("b", "beta"), ("c", "gamma")]);
-        let shard = |range: std::ops::Range<usize>| ShardSpec {
-            programs: scratch.files[range].to_vec(),
-            panel: leak_panel(),
-            stamp: None,
-        };
-        let first = run_shard(&shard(0..2)).unwrap();
-        let second = run_shard(&shard(2..3)).unwrap();
-        let merged = BatchReport::merge([first.clone(), second.clone()]).unwrap();
+        let slice =
+            |range: Range<usize>| run_bundle_slice(&scratch.files, range, leak_panel(), 1).unwrap();
+        let first = slice(0..2);
+        let second = slice(2..3);
+        let merged = BatchReport::merge([second.clone(), first.clone()]).unwrap();
         let names: Vec<&str> = merged
             .programs
             .iter()
             .map(|p| p.report.program.as_str())
             .collect();
         assert_eq!(names, ["alpha", "beta", "gamma"]);
-        // A shard showing up twice duplicates its programs.
-        assert!(matches!(
-            BatchReport::merge([first.clone(), first.clone()]),
-            Err(BatchError::DuplicateProgram { name }) if name == "alpha"
-        ));
-        // A duplicate *inside* the first shard (e.g. a corrupted foreign
-        // artifact fed through from_json) is just as ambiguous.
+        // A duplicate *inside* a slice (e.g. a corrupted foreign artifact
+        // fed through from_json) is ambiguous, even where it tiles.
         let mut corrupt = first.clone();
         corrupt.programs.push(corrupt.programs[0].clone());
         assert!(matches!(
@@ -1450,11 +1220,7 @@ mod tests {
     #[test]
     fn duplicate_program_names_within_a_shard_are_rejected() {
         let scratch = Scratch::new(&[("one", "same"), ("two", "same")]);
-        let result = run_shard(&ShardSpec {
-            programs: scratch.files.clone(),
-            panel: leak_panel(),
-            stamp: None,
-        });
+        let result = run_bundle(&scratch.files, leak_panel(), 2);
         assert!(matches!(
             result,
             Err(BatchError::DuplicateProgram { name }) if name == "same"
@@ -1464,15 +1230,11 @@ mod tests {
     #[test]
     fn batch_report_json_round_trips() {
         let scratch = Scratch::new(&[("x", "with \"quotes\""), ("y", "plain")]);
-        let report = run_shard(&ShardSpec {
-            programs: scratch.files.clone(),
-            panel: PanelSpec {
-                kind: PanelKind::Comparison,
-                cache_lines: 8,
-            },
-            stamp: None,
-        })
-        .unwrap();
+        let panel = PanelSpec {
+            kind: PanelKind::Comparison,
+            cache_lines: 8,
+        };
+        let report = run_bundle(&scratch.files, panel, 1).unwrap();
         let json = report.to_json();
         let parsed = BatchReport::from_json(&json).unwrap();
         assert_eq!(parsed, report);
@@ -1486,7 +1248,7 @@ mod tests {
         // A synthetic row with pairwise-distinct values pins each field of
         // the serialize/parse pair: a field dropped from (or miswired in)
         // BatchReport::to_json/parse_row breaks this equality even though
-        // both sharded execution paths would still agree with each other.
+        // a scan and a merge of its own slices would still agree.
         let row = ReportRow {
             label: "pin".to_string(),
             accesses: 1,
@@ -1502,11 +1264,11 @@ mod tests {
         };
         let report = BatchReport {
             panel: leak_panel(),
-            stamp: Some(BundleStamp {
+            stamp: BundleStamp {
                 checksum: Fingerprint(11),
                 total: 12,
                 start: 10,
-            }),
+            },
             programs: vec![ProgramVerdict {
                 leak: true,
                 fingerprint: Fingerprint(13),
@@ -1530,10 +1292,9 @@ mod tests {
             ("d", "delta"),
             ("e", "epsilon"),
         ]);
-        let reference = run_bundle(&scratch.files, leak_panel(), 1, &ExecMode::InProcess).unwrap();
+        let reference = run_bundle(&scratch.files, leak_panel(), 1).unwrap();
         for jobs in [2, 3, 5, 8] {
-            let sharded =
-                run_bundle(&scratch.files, leak_panel(), jobs, &ExecMode::InProcess).unwrap();
+            let sharded = run_bundle(&scratch.files, leak_panel(), jobs).unwrap();
             assert_eq!(sharded, reference, "jobs={jobs} diverged");
             assert_eq!(sharded.to_json(), reference.to_json());
         }
@@ -1542,17 +1303,16 @@ mod tests {
     #[test]
     fn stamped_slices_merge_back_to_the_unsharded_report() {
         let scratch = Scratch::new(&[("a", "alpha"), ("b", "beta"), ("c", "gamma")]);
-        let full = run_bundle(&scratch.files, leak_panel(), 2, &ExecMode::InProcess).unwrap();
-        let stamp = full.stamp.expect("bundle runs are stamped");
+        let full = run_bundle(&scratch.files, leak_panel(), 2).unwrap();
+        let stamp = full.stamp;
         assert_eq!((stamp.start, stamp.total), (0, 3));
-        let slice = |range: std::ops::Range<usize>| {
-            run_bundle_slice(&scratch.files, range, leak_panel(), 1, &ExecMode::InProcess).unwrap()
-        };
+        let slice =
+            |range: Range<usize>| run_bundle_slice(&scratch.files, range, leak_panel(), 1).unwrap();
         let first = slice(0..2);
         let second = slice(2..3);
-        assert_eq!(first.stamp.unwrap().start, 0);
-        assert_eq!(second.stamp.unwrap().start, 2);
-        assert_eq!(second.stamp.unwrap().checksum, stamp.checksum);
+        assert_eq!(first.stamp.start, 0);
+        assert_eq!(second.stamp.start, 2);
+        assert_eq!(second.stamp.checksum, stamp.checksum);
         // Order-independent fan-in, byte-identical to the unsharded run.
         let merged = BatchReport::merge([second.clone(), first.clone()]).unwrap();
         assert_eq!(merged, full);
@@ -1572,7 +1332,7 @@ mod tests {
         let merged = BatchReport::merge([empty, first.clone(), second.clone()]).unwrap();
         assert_eq!(merged, full);
         let zero_width = slice(0..0);
-        assert_eq!(zero_width.stamp.unwrap().start, 0);
+        assert_eq!(zero_width.stamp.start, 0);
         let merged = BatchReport::merge([first, zero_width, second]).unwrap();
         assert_eq!(merged, full);
     }
@@ -1580,9 +1340,8 @@ mod tests {
     #[test]
     fn merge_rejects_overlapping_incomplete_and_mismatched_slices() {
         let scratch = Scratch::new(&[("a", "alpha"), ("b", "beta"), ("c", "gamma")]);
-        let slice = |range: std::ops::Range<usize>| {
-            run_bundle_slice(&scratch.files, range, leak_panel(), 1, &ExecMode::InProcess).unwrap()
-        };
+        let slice =
+            |range: Range<usize>| run_bundle_slice(&scratch.files, range, leak_panel(), 1).unwrap();
         let first = slice(0..2);
         let second = slice(2..3);
 
@@ -1616,18 +1375,22 @@ mod tests {
             "program gamma\nregion t 64\nblock main entry:\n  load t[0]\n  load t[0]\n  ret\n",
         )
         .unwrap();
-        let foreign =
-            run_bundle_slice(&other.files, 2..3, leak_panel(), 1, &ExecMode::InProcess).unwrap();
+        let foreign = run_bundle_slice(&other.files, 2..3, leak_panel(), 1).unwrap();
         assert!(matches!(
             BatchReport::merge([first.clone(), foreign]),
             Err(BatchError::StampMismatch)
         ));
-        // Mixing stamped and unstamped reports is ambiguous, not legacy.
-        let mut unstamped = second.clone();
-        unstamped.stamp = None;
+        // A report without a bundle stamp cannot be verified, so it does
+        // not even parse.
+        let json = second.to_json();
+        let unstamped: Vec<&str> = json
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("\"bundle\""))
+            .collect();
+        assert_eq!(unstamped.len() + 1, json.lines().count());
         assert!(matches!(
-            BatchReport::merge([first.clone(), unstamped]),
-            Err(BatchError::StampMismatch)
+            BatchReport::from_json(&unstamped.join("\n")),
+            Err(BatchError::MalformedReport(message)) if message.contains("no bundle stamp")
         ));
         // Tampered contents under a matching stamp fail the recompute.
         let mut tampered = second.clone();
@@ -1659,7 +1422,7 @@ mod tests {
         // ambiguous — which "speculative" row is the verdict's?
         let doubled = BatchReport {
             panel: leak_panel(),
-            stamp: None,
+            stamp: BundleStamp::new(leak_panel(), [Fingerprint(1)].into_iter(), 0),
             programs: vec![ProgramVerdict {
                 leak: false,
                 fingerprint: Fingerprint(1),
@@ -1684,19 +1447,45 @@ mod tests {
             cache_lines: 0,
         };
         assert!(matches!(panel.configs(), Err(BatchError::InvalidPanel(_))));
-        let missing = ShardSpec {
-            programs: vec![PathBuf::from("/nonexistent/x.spec")],
-            panel: leak_panel(),
-            stamp: None,
-        };
-        assert!(matches!(run_shard(&missing), Err(BatchError::Io { .. })));
+        let missing = [PathBuf::from("/nonexistent/x.spec")];
+        assert!(matches!(
+            run_bundle(&missing, leak_panel(), 1),
+            Err(BatchError::Io { .. })
+        ));
         let scratch = Scratch::new(&[("ok", "ok")]);
         std::fs::write(scratch.dir.join("bad.spec"), "this is not a program").unwrap();
-        let bad = ShardSpec {
-            programs: vec![scratch.dir.join("bad.spec")],
-            panel: leak_panel(),
-            stamp: None,
-        };
-        assert!(matches!(run_shard(&bad), Err(BatchError::Parse { .. })));
+        let bad = [scratch.files[0].clone(), scratch.dir.join("bad.spec")];
+        assert!(matches!(
+            run_bundle(&bad, leak_panel(), 1),
+            Err(BatchError::Parse { .. })
+        ));
+    }
+
+    #[test]
+    fn fan_out_contains_a_poisoned_slot() {
+        // One poisoned item (its work panics) must land as that slot's
+        // error while every other item completes — uncaught, the panic
+        // would unwind the scoped pool and kill `serve` or the scan.
+        let items: Vec<u32> = (0..8).collect();
+        let slots = fan_out_catching(&items, 3, |&n| {
+            assert!(n != 5, "slot 5 is poisoned");
+            n * 2
+        });
+        assert_eq!(slots.len(), items.len());
+        for (i, slot) in slots.iter().enumerate() {
+            match slot {
+                Ok(doubled) => {
+                    assert_ne!(i, 5);
+                    assert_eq!(*doubled, items[i] * 2);
+                }
+                Err(message) => {
+                    assert_eq!(i, 5, "only the poisoned slot errors");
+                    assert!(message.contains("slot 5 is poisoned"), "{message}");
+                }
+            }
+        }
+        // More threads than items, and no items at all, are both fine.
+        assert_eq!(fan_out_catching(&items[..2], 16, |&n| n).len(), 2);
+        assert!(fan_out_catching(&[] as &[u32], 4, |&n| n).is_empty());
     }
 }

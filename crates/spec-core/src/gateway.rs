@@ -60,10 +60,11 @@ use spec_ir::fingerprint::{combined_fingerprint, program_fingerprint, Fingerprin
 use spec_ir::text::parse_program;
 use spec_telemetry::{escape_label, Counter, Gauge, Histogram, Registry, TraceLog, TraceSender};
 
+use crate::batch::panic_message;
 use crate::json::ParseLimits;
 use crate::service::{
-    log_line, panic_message, read_line_capped, request_kind, write_response, ClientOptions,
-    Request, RequestTelemetry, Response, ServiceClient, PROTOCOL_VERSION,
+    log_line, read_line_capped, request_kind, write_response, ClientOptions, Request,
+    RequestTelemetry, Response, ServiceClient, PROTOCOL_VERSION,
 };
 
 /// Default `host:port` of `specan gateway` (one above the serve default,

@@ -85,14 +85,13 @@ use std::sync::Arc;
 
 use spec_ir::fingerprint::{program_fingerprint, regions_fingerprint, Fingerprint, ProgramDiff};
 use spec_ir::heap::HeapSize;
-use spec_ir::text::parse_program;
 use spec_ir::Program;
 
 use crate::artifact::PreparedStore;
 use crate::batch::{
-    panel_checksum, BatchError, BatchReport, BundleStamp, PanelSpec, ProgramVerdict,
+    parse_bundle, run_cold, BatchError, BatchReport, BundleProgram, BundleStamp, PanelSpec,
+    ProgramVerdict,
 };
-use crate::cache_session::{CacheOutcome, CacheSession};
 use crate::json::{self, JsonValue};
 use crate::session::{Analyzer, CacheStats, PreparedProgram};
 
@@ -914,7 +913,7 @@ impl ScanSession {
 /// What an incremental scan did, alongside its (deterministic) report.
 pub struct ScanOutcome {
     /// The merged bundle report — byte-identical to what a fresh
-    /// [`run_bundle`] over the same files produces.
+    /// [`crate::batch::run_bundle`] over the same files produces.
     pub report: BatchReport,
     /// Programs whose verdicts were spliced in from the stored session.
     pub reused: usize,
@@ -929,9 +928,8 @@ pub struct ScanOutcome {
 /// Runs a bundle scan against a persisted [`ScanSession`]: programs whose
 /// structural fingerprints match the stored snapshot reuse their stored
 /// verdicts wholesale; only the changed (or new) programs are analysed —
-/// fanned `jobs` ways over one shared [`CacheSession`] front, whose
-/// acquire/commit protocol runs every cold preparation outside the session
-/// lock — and the refreshed session is written back.
+/// `jobs`-wide, through the same cold per-program step as a fresh scan —
+/// and the refreshed session is written back.
 ///
 /// The returned report is **bit-identical** to a fresh
 /// [`crate::batch::run_bundle`] over the same files: stored verdicts are
@@ -941,19 +939,21 @@ pub struct ScanOutcome {
 /// name, the program name, is the session key itself.
 ///
 /// Files saved *while the scan runs* cannot poison the session: the
-/// programs parsed by the fingerprint pass are the programs analysed — the
-/// file is never read twice — so a persisted fingerprint always keys the
-/// verdict of exactly that content.
+/// programs parsed by [`crate::batch::parse_bundle`] are the programs
+/// analysed — the file is never read twice — so a persisted fingerprint
+/// always keys the verdict of exactly that content.
 ///
 /// # Errors
 ///
 /// [`BatchError::Io`]/[`BatchError::Parse`] for unreadable or invalid
 /// files, [`BatchError::DuplicateProgram`] for a repeated program name and
-/// [`BatchError::InvalidPanel`] for a degenerate panel.  Session defects
-/// are never errors: a missing or corrupt session degrades to a cold scan,
-/// and a session that cannot be written back (read-only cache volume, full
-/// disk) is reported through [`ScanOutcome::store_error`] while the
-/// completed report — and with it the CI leak verdict — is still returned.
+/// [`BatchError::InvalidPanel`] for a degenerate panel and
+/// [`BatchError::Panicked`] naming a program whose analysis panicked.
+/// Session defects are never errors: a missing or corrupt session degrades
+/// to a cold scan, and a session that cannot be written back (read-only
+/// cache volume, full disk) is reported through [`ScanOutcome::store_error`]
+/// while the completed report — and with it the CI leak verdict — is still
+/// returned.
 pub fn scan_bundle_incremental(
     files: &[PathBuf],
     panel: PanelSpec,
@@ -966,62 +966,17 @@ pub fn scan_bundle_incremental(
     // Parse and fingerprint the bundle once.  The parsed programs feed the
     // analysis below directly, so a file saved mid-scan can never pair this
     // pass's fingerprint with a verdict of newer content.
-    let mut bundle: Vec<(String, Program, Fingerprint)> = Vec::with_capacity(files.len());
-    for path in files {
-        let source = std::fs::read_to_string(path).map_err(|error| BatchError::Io {
-            path: path.clone(),
-            error,
-        })?;
-        let program = parse_program(&source).map_err(|err| BatchError::Parse {
-            path: path.clone(),
-            message: err.to_string(),
-        })?;
-        let name = program.name().to_string();
-        if bundle.iter().any(|(n, _, _)| *n == name) {
-            return Err(BatchError::DuplicateProgram { name });
-        }
-        let fingerprint = program_fingerprint(&program);
-        bundle.push((name, program, fingerprint));
-    }
-
+    let bundle = parse_bundle(files)?;
+    let configs = panel.configs()?;
     let stored = session.load(panel).unwrap_or_default();
-    let misses: Vec<usize> = (0..bundle.len())
-        .filter(|&i| {
-            let (name, _, fp) = &bundle[i];
-            stored.get(name).map(|(old, _)| old) != Some(fp)
-        })
-        .collect();
-
-    // Analyse the misses through one shared cache front, mirroring a fresh
-    // shard's per-program pipeline exactly (same analyzer construction,
-    // same suite, same timing strip).  Workers pull whole chunks; the only
-    // shared state is the front itself, and its cold prepares run lock-free.
-    let mut fresh: Vec<Option<ProgramVerdict>> = (0..misses.len()).map(|_| None).collect();
-    if !misses.is_empty() {
-        let configs = panel.configs()?;
-        let front = CacheSession::new(SessionCache::with_analyzer(
-            Analyzer::new().max_suite_threads(std::num::NonZeroUsize::MIN),
-        ));
-        let verdict_for = |program: &Program| {
-            let prepared = match front.acquire_structural(program) {
-                CacheOutcome::WarmHit(prepared) | CacheOutcome::StoreHit(prepared) => prepared,
-                CacheOutcome::NeedsPrepare(guard) => guard.prepare(program),
-            };
-            let report = prepared.run_suite(&configs).report().without_timing();
-            ProgramVerdict::from_report(report, prepared.fingerprint())
-        };
-        let per_worker = misses.len().div_ceil(jobs.clamp(1, misses.len()));
-        std::thread::scope(|scope| {
-            for (slots, indices) in fresh.chunks_mut(per_worker).zip(misses.chunks(per_worker)) {
-                let (bundle, verdict_for) = (&bundle, &verdict_for);
-                scope.spawn(move || {
-                    for (slot, &i) in slots.iter_mut().zip(indices) {
-                        *slot = Some(verdict_for(&bundle[i].1));
-                    }
-                });
-            }
-        });
-    }
+    let hit = |entry: &BundleProgram| {
+        stored
+            .get(entry.program.name())
+            .filter(|(old, _)| *old == entry.fingerprint)
+            .map(|(_, verdict)| verdict)
+    };
+    let misses: Vec<&BundleProgram> = bundle.iter().filter(|entry| hit(entry).is_none()).collect();
+    let mut fresh = run_cold(&misses, &configs, jobs)?.into_iter();
 
     // Splice stored and fresh verdicts back into bundle order.  Every
     // persisted pairing is sound by construction: a fresh verdict came from
@@ -1029,48 +984,26 @@ pub fn scan_bundle_incremental(
     // the stored fingerprint this scan.
     let mut programs = Vec::with_capacity(bundle.len());
     let mut persist: Vec<(String, Fingerprint)> = Vec::with_capacity(bundle.len());
-    let mut reused = 0;
-    let mut fresh = misses.iter().copied().zip(fresh).peekable();
-    for (i, (name, _, fp)) in bundle.iter().enumerate() {
-        match fresh.peek() {
-            Some(&(miss, _)) if miss == i => {
-                let verdict = fresh
-                    .next()
-                    .and_then(|(_, v)| v)
-                    .expect("every miss chunk filled its slots");
-                persist.push((name.clone(), *fp));
-                programs.push(verdict);
-            }
-            _ => {
-                // Not a miss, so the stored fingerprint matched this scan's
-                // own read — the lookup cannot fail.
-                let (_, verdict) = stored
-                    .get(name)
-                    .filter(|(old, _)| old == fp)
-                    .expect("a bundle entry is either analysed or a session hit");
-                reused += 1;
-                persist.push((name.clone(), *fp));
-                programs.push(verdict.clone());
-            }
-        }
+    for entry in &bundle {
+        programs.push(match hit(entry) {
+            Some(verdict) => verdict.clone(),
+            None => fresh.next().expect("one fresh verdict per miss"),
+        });
+        persist.push((entry.program.name().to_string(), entry.fingerprint));
     }
     // Stamp against the full bundle, exactly as a fresh `run_bundle` would:
     // the checksum folds the fingerprint pass this scan already ran.
-    let stamp = BundleStamp {
-        checksum: panel_checksum(panel, bundle.iter().map(|(_, _, fp)| *fp)),
-        total: bundle.len(),
-        start: 0,
-    };
     let report = BatchReport {
         panel,
-        stamp: Some(stamp),
+        stamp: BundleStamp::new(panel, bundle.iter().map(|entry| entry.fingerprint), 0),
         programs,
     };
+    let reused = bundle.len() - misses.len();
     let store_error = session.store(&report, &persist).err();
     Ok(ScanOutcome {
         report,
         reused,
-        analyzed: bundle.len() - reused,
+        analyzed: misses.len(),
         store_error,
     })
 }
@@ -1217,10 +1150,11 @@ impl AnalyzeSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{run_bundle, ExecMode, PanelKind};
+    use crate::batch::{run_bundle, PanelKind};
     use crate::session::comparison_configs;
     use spec_cache::CacheConfig;
     use spec_ir::builder::ProgramBuilder;
+    use spec_ir::text::parse_program;
     use spec_ir::IndexExpr;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1576,7 +1510,7 @@ mod tests {
         // a fresh bundle run.
         let warm = scan_bundle_incremental(&files, leak_panel(), 1, &session).unwrap();
         assert_eq!((warm.reused, warm.analyzed), (2, 0));
-        let fresh = run_bundle(&files, leak_panel(), 1, &ExecMode::InProcess).unwrap();
+        let fresh = run_bundle(&files, leak_panel(), 1).unwrap();
         assert_eq!(warm.report, fresh);
         assert_eq!(warm.report.to_json(), fresh.to_json());
 
@@ -1584,7 +1518,7 @@ mod tests {
         scratch.write("a.spec", &spec_source("alpha", 32));
         let edited = scan_bundle_incremental(&files, leak_panel(), 1, &session).unwrap();
         assert_eq!((edited.reused, edited.analyzed), (1, 1));
-        let fresh = run_bundle(&files, leak_panel(), 1, &ExecMode::InProcess).unwrap();
+        let fresh = run_bundle(&files, leak_panel(), 1).unwrap();
         assert_eq!(edited.report.to_json(), fresh.to_json());
         let names: Vec<&str> = edited
             .report
@@ -1632,7 +1566,7 @@ mod tests {
             scan_bundle_incremental(std::slice::from_ref(&a), leak_panel(), 1, &session).unwrap();
         assert!(outcome.store_error.is_some(), "the store failure surfaces");
         assert_eq!((outcome.reused, outcome.analyzed), (0, 1));
-        let fresh = run_bundle(&[a], leak_panel(), 1, &ExecMode::InProcess).unwrap();
+        let fresh = run_bundle(&[a], leak_panel(), 1).unwrap();
         assert_eq!(outcome.report, fresh, "the verdict survives the failure");
     }
 

@@ -4,8 +4,8 @@
 //! serialization ([`crate::session::Report::to_json`] and the `specan
 //! --json` outputs) hand-writes its JSON through these helpers instead of
 //! pulling in serde.  The batch layer ([`crate::batch`]) additionally needs
-//! to *read* reports back — a parent process merges the JSON emitted by
-//! `specan worker` subprocesses — so a small recursive-descent parser,
+//! to *read* reports back — `specan merge` verifies the JSON slice reports
+//! of several machines — so a small recursive-descent parser,
 //! [`JsonValue::parse`], lives here too.  Numbers are kept as their raw
 //! source tokens so integer round-trips are lossless.
 //!

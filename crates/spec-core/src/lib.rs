@@ -90,7 +90,7 @@ mod summary;
 
 pub use analysis::CacheAnalysis;
 pub use artifact::{options_signature, PreparedStore};
-pub use batch::{BatchError, BatchReport, BundleStamp, ExecMode, PanelKind, PanelSpec, ShardSpec};
+pub use batch::{BatchError, BatchReport, BundleStamp, PanelKind, PanelSpec};
 pub use cache_session::{AcquireStats, CacheOutcome, CacheSession, PrepareGuard};
 pub use classify::{AccessInfo, AnalysisResult};
 pub use incremental::{

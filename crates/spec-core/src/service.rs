@@ -99,7 +99,9 @@ use spec_telemetry::{Gauge, Histogram, Registry, TraceLog, TraceSender};
 use spec_vcfg::MergeStrategy;
 
 use crate::artifact::{PreparedStore, StoreTelemetry};
-use crate::batch::{panel_checksum, BatchReport, BundleStamp, PanelSpec, ProgramVerdict};
+use crate::batch::{
+    fan_out_catching, panic_message, BatchReport, BundleStamp, PanelSpec, ProgramVerdict,
+};
 use crate::cache_session::{relock, CacheOutcome, CacheSession, TierTelemetry};
 use crate::classify::AnalysisResult;
 use crate::incremental::SessionCache;
@@ -1268,7 +1270,7 @@ fn execute(
             // then fan the per-program suites out across scoped threads —
             // one pool worker owns the request, but the bundle itself runs
             // `jobs`-wide, matching what `specan scan` does locally.  The
-            // transient oversubscription is bounded by `jobs` extra
+            // transient oversubscription is bounded by `jobs - 1` extra
             // threads per in-flight scan, and determinism is untouched:
             // verdicts are collected in bundle order.
             let mut sessions = Vec::with_capacity(sources.len());
@@ -1286,47 +1288,37 @@ fn execute(
                 warm += usize::from(how == "warm");
                 sessions.push(prepared);
             }
-            let threads = state.jobs.min(sessions.len()).max(1);
             let run = Instant::now();
-            let verdicts = fan_out_catching(&sessions, threads, |prepared| {
-                let report = prepared.run_suite(&configs).report().without_timing();
-                ProgramVerdict::from_report(report, prepared.fingerprint())
+            let verdicts = fan_out_catching(&sessions, state.jobs, |prepared| {
+                ProgramVerdict::run(prepared, &configs)
             });
             let run_elapsed = run.elapsed();
             state.telemetry.phase_run.record(run_elapsed);
             trace.run += run_elapsed;
-            let mut programs: Vec<ProgramVerdict> = Vec::with_capacity(sessions.len());
-            for (slot, prepared) in verdicts.into_iter().zip(&sessions) {
-                let name = prepared.program().name();
-                match slot {
-                    Some(Ok(verdict)) => programs.push(verdict),
-                    // A poisoned slot — the worker's suite run panicked —
-                    // fails this request with a verdict-shaped message and
-                    // leaves the server (and the rest of the pool) alive.
-                    Some(Err(panic)) => {
-                        return Err(format!("internal: analysis of `{name}` panicked: {panic}"))
-                    }
-                    None => {
-                        return Err(format!(
-                            "internal: analysis of `{name}` produced no verdict"
-                        ))
-                    }
-                }
-            }
+            // A poisoned slot — the worker's suite run panicked — fails this
+            // request with a verdict-shaped message and leaves the server
+            // (and the rest of the pool) alive.
+            let programs = verdicts
+                .into_iter()
+                .zip(&sessions)
+                .map(|(slot, prepared)| {
+                    slot.map_err(|panic| {
+                        format!(
+                            "internal: analysis of `{}` panicked: {panic}",
+                            prepared.program().name()
+                        )
+                    })
+                })
+                .collect::<Result<Vec<ProgramVerdict>, String>>()?;
             log_line(&format!(
                 "serve: scan {} program(s) ({} warm){}",
                 sessions.len(),
                 warm,
                 session_accounting(state, trace)
             ));
-            let stamp = BundleStamp {
-                checksum: panel_checksum(*panel, programs.iter().map(|p| p.fingerprint)),
-                total: programs.len(),
-                start: 0,
-            };
             let report = BatchReport {
                 panel: *panel,
-                stamp: Some(stamp),
+                stamp: BundleStamp::new(*panel, programs.iter().map(|p| p.fingerprint), 0),
                 programs,
             };
             let exit = u8::from(report.any_leak());
@@ -1338,58 +1330,6 @@ fn execute(
             Err("internal: unqueued request".to_string())
         }
     }
-}
-
-/// Renders a `catch_unwind` payload as the panic's message (the common
-/// `&str`/`String` payloads verbatim, a placeholder otherwise).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// Fans `work` out over `items` across at most `threads` scoped workers,
-/// catching per-item panics: a poisoned item lands in its slot as
-/// `Some(Err(message))` instead of unwinding the pool — which, inside
-/// `serve`'s scoped worker threads, would kill the entire server.  Slots of
-/// completed items are `Some(Ok(_))` in input order; `None` only if a
-/// worker died outside the guarded region (which the guard makes
-/// unreachable, but the type keeps the caller honest).
-pub(crate) fn fan_out_catching<T, R, F>(
-    items: &[T],
-    threads: usize,
-    work: F,
-) -> Vec<Option<Result<R, String>>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<R, String>>>> =
-        Mutex::new(items.iter().map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(item) = items.get(index) else {
-                    break;
-                };
-                // AssertUnwindSafe: a panicking `work` may leave `item`'s
-                // interior caches half-updated, but every shared structure
-                // it can reach is lock-protected and re-acquired through
-                // `relock`, and the item's result is discarded as an error.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(item)))
-                    .map_err(|payload| panic_message(payload.as_ref()));
-                relock(&slots)[index] = Some(outcome);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Parses `source` and resolves it through the tiered session front,
@@ -1862,32 +1802,6 @@ mod tests {
         );
         // The defaults themselves always validate.
         ServiceConfig::builder(jobs).build().unwrap();
-    }
-
-    #[test]
-    fn fan_out_contains_a_poisoned_slot() {
-        // One poisoned item (its work panics) must land as that slot's
-        // error while every other item completes — before the catch, the
-        // panic unwound the scoped pool and would have killed `serve`.
-        let items: Vec<u32> = (0..8).collect();
-        let slots = fan_out_catching(&items, 3, |&n| {
-            assert!(n != 5, "slot 5 is poisoned");
-            n * 2
-        });
-        assert_eq!(slots.len(), items.len());
-        for (i, slot) in slots.iter().enumerate() {
-            match slot {
-                Some(Ok(doubled)) => {
-                    assert_ne!(i, 5);
-                    assert_eq!(*doubled, items[i] * 2);
-                }
-                Some(Err(message)) => {
-                    assert_eq!(i, 5, "only the poisoned slot errors");
-                    assert!(message.contains("slot 5 is poisoned"), "{message}");
-                }
-                None => panic!("slot {i} was never filled"),
-            }
-        }
     }
 
     #[test]

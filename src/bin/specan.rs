@@ -24,7 +24,6 @@
 //!                [--read-timeout-ms N]
 //! specan artifacts <list|verify|gc>            inspect/validate/collect an artifact store
 //!                --artifact-dir DIR [--json] [--max-store-bytes B]
-//! specan worker  --shard-json <spec>           internal: run one shard, print its report
 //! ```
 //!
 //! Common options: `--cache-lines N` (default 512) and `--json` (emit
@@ -36,12 +35,11 @@
 //! (parallelism cap) and `--shard K/N` (run the K-th of N contiguous slices
 //! of the sorted file list — for splitting one bundle across CI machines).
 //! `scan` also accepts directories (searched recursively for `*.spec`),
-//! `--panel <leak-check|comparison>`, `--in-process` (threads instead of
-//! worker subprocesses) and `--session-dir DIR` (incremental: re-analyse
-//! only the programs whose structural fingerprints changed since the last
-//! scan against the same directory); its merged JSON report is
-//! deterministic — bit-identical however the bundle was sharded and whether
-//! or not a session replayed parts of it.
+//! `--panel <leak-check|comparison>` and `--session-dir DIR` (incremental:
+//! re-analyse only the programs whose structural fingerprints changed since
+//! the last scan against the same directory); its JSON report is
+//! deterministic — bit-identical whatever `--jobs` is, however the bundle
+//! was sharded, and whether or not a session replayed parts of it.
 //!
 //! Exit codes: `0` success (no leak), `1` leak detected (`leaks` and `scan`),
 //! `2` usage or input error — so both gates are scriptable in CI:
@@ -60,9 +58,7 @@ use std::process::ExitCode;
 
 use spec_analysis::detect_leaks;
 use spec_cache::CacheConfig;
-use spec_core::batch::{
-    self, discover_programs, run_bundle_slice, run_shard, ExecMode, PanelKind, PanelSpec, ShardSpec,
-};
+use spec_core::batch::{self, discover_programs, run_bundle_slice, PanelKind, PanelSpec};
 use spec_core::gateway::{self, GatewayConfig};
 use spec_core::incremental::{scan_bundle_incremental, AnalyzeSession, ScanSession, SessionCache};
 use spec_core::service::{
@@ -103,7 +99,6 @@ enum Command {
     Serve,
     Gateway,
     Artifacts,
-    Worker,
 }
 
 struct Cli {
@@ -111,16 +106,12 @@ struct Cli {
     paths: Vec<String>,
     cache_lines: usize,
     json: bool,
-    /// Parallelism cap: suite threads, and worker processes for `scan`.
+    /// Parallelism cap: suite threads, or programs at once for bundles.
     jobs: Option<NonZeroUsize>,
     /// `--shard K/N`: restrict to the K-th of N slices of the file list.
     shard: Option<(usize, usize)>,
-    /// `scan`: run shards on threads instead of worker subprocesses.
-    in_process: bool,
     /// `scan`: which panel each program runs under.
     panel: PanelKind,
-    /// `worker`: the serialized [`ShardSpec`].
-    shard_json: Option<String>,
     /// `serve`/`gateway`: the `host:port` to listen on.
     addr: Option<String>,
     /// `gateway`: the backend fleet (`--backend H:P`, repeatable).
@@ -176,9 +167,9 @@ fn usage() -> String {
      leaks     side-channel verdict under the speculative analysis;\n\
      \x20         exits 1 when a leak is detected (CI-friendly)\n\
      scan      discover *.spec under the given files/directories, run the\n\
-     \x20         panel per program sharded across worker processes and print\n\
-     \x20         one merged deterministic report; exits 1 if any program\n\
-     \x20         leaks.  [--jobs N] [--shard K/N] [--in-process]\n\
+     \x20         panel per program, --jobs programs at a time, and print\n\
+     \x20         one deterministic report; exits 1 if any program\n\
+     \x20         leaks.  [--jobs N] [--shard K/N]\n\
      \x20         [--panel <leak-check|comparison>] [--session-dir DIR];\n\
      \x20         with --session-dir only programs whose structural\n\
      \x20         fingerprints changed since the last scan are re-analysed\n\
@@ -230,9 +221,7 @@ fn usage() -> String {
      \x20         per artifact, `verify` fully validates every file (exit 0\n\
      \x20         iff all pass), `gc` removes quarantined/temp leftovers and\n\
      \x20         enforces --max-store-bytes.  Requires --artifact-dir DIR;\n\
-     \x20         list/verify accept --json\n\
-     worker    internal: --shard-json <spec|-> runs one scan shard and\n\
-     \x20         prints its report as JSON (`-` reads the spec from stdin)"
+     \x20         list/verify accept --json"
         .to_string()
 }
 
@@ -258,7 +247,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         Some("serve") => Command::Serve,
         Some("gateway") => Command::Gateway,
         Some("artifacts") => Command::Artifacts,
-        Some("worker") => Command::Worker,
         Some("--help" | "-h" | "help") | None => return Err(usage()),
         Some(other) => {
             return Err(format!("unrecognised command `{other}`\n{}", usage()));
@@ -271,9 +259,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         json: false,
         jobs: None,
         shard: None,
-        in_process: false,
         panel: PanelKind::Comparison,
-        shard_json: None,
         addr: None,
         backends: Vec::new(),
         probe_interval_ms: None,
@@ -368,7 +354,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--jobs"
                 if matches!(
                     cli.command,
-                    Command::Leaks | Command::Worker | Command::Merge | Command::Artifacts
+                    Command::Leaks | Command::Merge | Command::Artifacts
                 ) =>
             {
                 return Err(format!("`--jobs` does not apply here\n{}", usage()));
@@ -390,13 +376,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 return Err(format!("`--shard` does not apply here\n{}", usage()));
             }
             "--shard" => cli.shard = Some(parse_shard(&value_of("--shard")?)?),
-            "--in-process" if !matches!(cli.command, Command::Scan) => {
-                return Err(format!(
-                    "`--in-process` only applies to `scan`\n{}",
-                    usage()
-                ));
-            }
-            "--in-process" => cli.in_process = true,
             "--panel" if !matches!(cli.command, Command::Scan) => {
                 return Err(format!("`--panel` only applies to `scan`\n{}", usage()));
             }
@@ -412,13 +391,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     }
                 };
             }
-            "--shard-json" if !matches!(cli.command, Command::Worker) => {
-                return Err(format!(
-                    "`--shard-json` only applies to `worker`\n{}",
-                    usage()
-                ));
-            }
-            "--shard-json" => cli.shard_json = Some(value_of("--shard-json")?),
             "--session-dir" if !matches!(cli.command, Command::Analyze | Command::Scan) => {
                 return Err(format!(
                     "`--session-dir` only applies to `analyze` and `scan`\n{}",
@@ -504,11 +476,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
     }
     match cli.command {
-        Command::Worker => {
-            if cli.shard_json.is_none() {
-                return Err(format!("`worker` needs --shard-json\n{}", usage()));
-            }
-        }
         Command::Leaks => {
             if cli.paths.len() != 1 {
                 return Err(format!(
@@ -630,8 +597,7 @@ fn select_bundle(cli: &Cli) -> Result<(Vec<PathBuf>, std::ops::Range<usize>), St
         }
     }
     let files = discover_programs(&paths).map_err(|err| err.to_string())?;
-    // Machine K of N takes slice K of the same near-even contiguous split
-    // the process-level sharding uses.
+    // Machine K of N takes slice K of a near-even contiguous split.
     let range = match cli.shard {
         Some((k, n)) => batch::shard_slice(files.len(), k, n),
         None => 0..files.len(),
@@ -762,40 +728,6 @@ fn analyze_one(
     Ok(output)
 }
 
-/// Runs `work` over every file, fanning out across at most `--jobs` scoped
-/// threads, and returns the rendered outputs in input order.
-fn map_files<F>(cli: &Cli, files: &[PathBuf], work: F) -> Result<Vec<String>, String>
-where
-    F: Fn(&PathBuf) -> Result<String, String> + Sync,
-{
-    let threads = effective_jobs(cli).min(files.len()).max(1);
-    if threads == 1 {
-        return files.iter().map(&work).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let next = AtomicUsize::new(0);
-    let slots: std::sync::Mutex<Vec<Option<Result<String, String>>>> =
-        std::sync::Mutex::new(files.iter().map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(file) = files.get(index) else {
-                    break;
-                };
-                let output = work(file);
-                slots.lock().expect("analyze slots poisoned")[index] = Some(output);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("analyze slots poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every file was analysed"))
-        .collect()
-}
-
 /// Prints `analyze` outputs with the bundle-aware wrapping: a JSON array
 /// in bundle mode (even for zero or one file, so the schema never depends
 /// on how a bundle split across machines), plain concatenation otherwise.
@@ -840,9 +772,20 @@ fn cmd_analyze(cli: &Cli) -> Result<u8, String> {
         cache = cache.artifact_store(PreparedStore::open(dir.clone()));
     }
     let sessions = CacheSession::new(cache);
-    let outputs = map_files(cli, &files, |path| {
+    let outputs = batch::fan_out_catching(&files, effective_jobs(cli), |path| {
         analyze_one(cli, path, session.as_ref(), &sessions)
-    })?;
+    })
+    .into_iter()
+    .zip(&files)
+    .map(|(slot, path)| {
+        slot.unwrap_or_else(|panic| {
+            Err(format!(
+                "internal: analysis of `{}` panicked: {panic}",
+                path.display()
+            ))
+        })
+    })
+    .collect::<Result<Vec<String>, String>>()?;
     print_analyze_outputs(cli, &outputs);
     Ok(0)
 }
@@ -861,21 +804,15 @@ fn cmd_compare(cli: &Cli) -> Result<u8, String> {
         outln!("{output}");
         return Ok(0);
     }
-    // Bundle: the deterministic merged batch report, computed in-process
-    // and stamped against the full bundle so per-machine artifacts can be
-    // fan-in verified by `specan merge`.
+    // Bundle: the deterministic batch report, stamped against the full
+    // bundle so per-machine artifacts can be fan-in verified by `specan
+    // merge`.
     let panel = PanelSpec {
         kind: PanelKind::Comparison,
         cache_lines: cli.cache_lines,
     };
-    let report = run_bundle_slice(
-        &bundle,
-        range,
-        panel,
-        effective_jobs(cli),
-        &ExecMode::InProcess,
-    )
-    .map_err(|e| e.to_string())?;
+    let report =
+        run_bundle_slice(&bundle, range, panel, effective_jobs(cli)).map_err(|e| e.to_string())?;
     outln!("{}", service::scan_output(&report, cli.json));
     Ok(0)
 }
@@ -971,10 +908,7 @@ fn cmd_scan(cli: &Cli) -> Result<u8, String> {
     let report = match &cli.session_dir {
         Some(dir) => {
             // `--shard` is rejected with `--session-dir` at parse time, so
-            // the slice is always the whole bundle here.  Incremental scans
-            // always analyse in-process, through one shared session front:
-            // misses are the exception, and worker subprocesses could not
-            // share its warm tiers anyway.
+            // the slice is always the whole bundle here.
             let session = ScanSession::new(dir);
             let outcome = scan_bundle_incremental(&bundle, panel, jobs, &session)
                 .map_err(|err| err.to_string())?;
@@ -993,39 +927,10 @@ fn cmd_scan(cli: &Cli) -> Result<u8, String> {
             }
             outcome.report
         }
-        None => {
-            let mode = if cli.in_process {
-                ExecMode::InProcess
-            } else {
-                let worker_exe = std::env::current_exe()
-                    .map_err(|err| format!("cannot locate the specan executable: {err}"))?;
-                ExecMode::Subprocess { worker_exe }
-            };
-            run_bundle_slice(&bundle, range, panel, jobs, &mode).map_err(|err| err.to_string())?
-        }
+        None => run_bundle_slice(&bundle, range, panel, jobs).map_err(|err| err.to_string())?,
     };
     outln!("{}", service::scan_output(&report, cli.json));
     Ok(if report.any_leak() { EXIT_LEAK } else { 0 })
-}
-
-fn cmd_worker(cli: &Cli) -> Result<u8, String> {
-    let spec_json = match cli.shard_json.as_deref().expect("validated by parse_args") {
-        // `-` means stdin — the parent pipes the spec through it because a
-        // large shard would not fit in an argv string.
-        "-" => {
-            use std::io::Read as _;
-            let mut input = String::new();
-            std::io::stdin()
-                .read_to_string(&mut input)
-                .map_err(|err| format!("cannot read the shard spec from stdin: {err}"))?;
-            input
-        }
-        inline => inline.to_string(),
-    };
-    let spec = ShardSpec::from_json(&spec_json).map_err(|err| err.to_string())?;
-    let report = run_shard(&spec).map_err(|err| err.to_string())?;
-    outln!("{}", report.to_json());
-    Ok(0)
 }
 
 /// `specan merge <reports.json...>`: the verified cross-machine fan-in of
@@ -1035,14 +940,7 @@ fn cmd_merge(cli: &Cli) -> Result<u8, String> {
     for path in &cli.paths {
         let text =
             std::fs::read_to_string(path).map_err(|err| format!("cannot read `{path}`: {err}"))?;
-        let report = BatchReport::from_json(&text).map_err(|err| format!("`{path}`: {err}"))?;
-        if report.stamp.is_none() {
-            return Err(format!(
-                "`{path}` carries no bundle stamp: regenerate the artifact with \
-                 this specan version (unstamped slices cannot be verified)"
-            ));
-        }
-        reports.push(report);
+        reports.push(BatchReport::from_json(&text).map_err(|err| format!("`{path}`: {err}"))?);
     }
     let merged = BatchReport::merge(reports).map_err(|err| err.to_string())?;
     eprintln!(
@@ -1339,9 +1237,6 @@ fn cmd_submit(args: &[String]) -> Result<u8, String> {
     if cli.jobs.is_some() {
         return Err("`--jobs` is the server's knob (`specan serve --jobs N`)".to_string());
     }
-    if cli.in_process {
-        return Err("`--in-process` does not apply over the wire".to_string());
-    }
     let (bundle, range) = select_bundle(&cli)?;
     let files = bundle[range].to_vec();
     let read_source = |path: &PathBuf| {
@@ -1549,7 +1444,6 @@ fn main() -> ExitCode {
         Command::Serve => cmd_serve(&cli),
         Command::Gateway => cmd_gateway(&cli),
         Command::Artifacts => cmd_artifacts(&cli),
-        Command::Worker => cmd_worker(&cli),
     };
     match outcome {
         Ok(code) => ExitCode::from(code),

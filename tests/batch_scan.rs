@@ -1,6 +1,6 @@
 //! End-to-end tests of the batch layer through the `specan` binary: the
-//! `scan` and `worker` subcommands, subprocess sharding, merged-report
-//! determinism and the bundle flags on `analyze`/`compare`.
+//! `scan` subcommand, report determinism across `--jobs`, and the bundle
+//! flags on `analyze`/`compare`.
 
 use std::process::{Command, Output};
 
@@ -28,6 +28,10 @@ fn scan_exits_one_iff_any_program_leaks() {
     let stdout = stdout_of(&out);
     assert!(stdout.contains("\"program\": \"cold_lookup\""));
     assert!(stdout.contains("\"leak\": true"));
+    // The always-leaky program is the *only* leak: the constant-time
+    // program (and the victim, clean at 512 lines) must not be flagged.
+    assert!(stdout.contains("\"program\": \"ct_sbox\""));
+    assert!(stdout.contains("\"leaks\": 1"), "{stdout}");
 
     // A clean-only bundle exits 0.
     let out = specan(&["scan", CT_SBOX, "--json"]);
@@ -37,34 +41,19 @@ fn scan_exits_one_iff_any_program_leaks() {
 
 #[test]
 fn sharded_scan_is_bit_identical_to_the_in_order_run() {
-    // The in-order single-process reference: one shard, no subprocesses.
-    let reference = specan(&[
-        "scan",
-        PROGRAMS_DIR,
-        "--json",
-        "--jobs",
-        "1",
-        "--in-process",
-    ]);
+    // The in-order reference: one program at a time.
+    let reference = specan(&["scan", PROGRAMS_DIR, "--json", "--jobs", "1"]);
     assert_eq!(reference.status.code(), Some(1));
     let reference = stdout_of(&reference);
     assert!(
         reference.matches("\"program\":").count() >= 3,
         "the example bundle must hold at least three programs"
     );
-    // Worker subprocesses, various shard counts, and in-process threads all
-    // merge to the same bytes.
-    for extra in [
-        &["--jobs", "2"][..],
-        &["--jobs", "3"][..],
-        &["--jobs", "16"][..],
-        &["--jobs", "2", "--in-process"][..],
-    ] {
-        let mut args = vec!["scan", PROGRAMS_DIR, "--json"];
-        args.extend_from_slice(extra);
-        let out = specan(&args);
-        assert_eq!(out.status.code(), Some(1), "{extra:?}");
-        assert_eq!(stdout_of(&out), reference, "{extra:?} diverged");
+    // Any number of threads produces the same bytes.
+    for jobs in ["2", "3", "16"] {
+        let out = specan(&["scan", PROGRAMS_DIR, "--json", "--jobs", jobs]);
+        assert_eq!(out.status.code(), Some(1), "--jobs {jobs}");
+        assert_eq!(stdout_of(&out), reference, "--jobs {jobs} diverged");
     }
 }
 
@@ -171,65 +160,6 @@ fn one_file_shard_slices_keep_the_bundle_schema() {
 }
 
 #[test]
-fn worker_runs_one_shard_and_prints_its_report() {
-    let shard = format!(
-        "{{\"programs\": [{:?}, {:?}], \"panel\": {{\"kind\": \"comparison\", \"cache_lines\": 8}}}}",
-        COLD_LOOKUP, VICTIM
-    );
-    let out = specan(&["worker", "--shard-json", &shard]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "workers always exit 0 on success"
-    );
-    let stdout = stdout_of(&out);
-    assert!(stdout.contains("\"program\": \"cold_lookup\""));
-    assert!(stdout.contains("\"program\": \"victim\""));
-    assert!(stdout.contains("\"label\": \"merge-at-rollback\""));
-    // The worker's output is exactly what the merger parses: no timing.
-    assert!(!stdout.contains("time_secs"));
-    assert!(!stdout.contains("suite_elapsed"));
-}
-
-#[test]
-fn worker_reads_the_shard_spec_from_stdin_with_dash() {
-    use std::io::Write as _;
-    use std::process::Stdio;
-    let mut child = Command::new(env!("CARGO_BIN_EXE_specan"))
-        .args(["worker", "--shard-json", "-"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("specan spawns");
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(
-            format!(
-                "{{\"programs\": [{:?}], \"panel\": {{\"kind\": \"leak-check\", \"cache_lines\": 8}}}}",
-                VICTIM
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    let out = child.wait_with_output().expect("specan runs");
-    assert_eq!(out.status.code(), Some(0));
-    assert!(stdout_of(&out).contains("\"program\": \"victim\""));
-}
-
-#[test]
-fn worker_rejects_bad_input_with_exit_two() {
-    let out = specan(&["worker", "--shard-json", "not json"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = specan(&["worker", "--shard-json", "{\"programs\": [\"/nope.spec\"], \"panel\": {\"kind\": \"comparison\", \"cache_lines\": 8}}"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = specan(&["worker"]);
-    assert_eq!(out.status.code(), Some(2), "worker needs --shard-json");
-}
-
-#[test]
 fn compare_accepts_a_bundle_and_emits_the_merged_report() {
     let out = specan(&[
         "compare",
@@ -305,4 +235,10 @@ fn scan_rejects_bad_usage_with_exit_two() {
     // Degenerate cache geometry.
     let out = specan(&["scan", PROGRAMS_DIR, "--cache-lines", "0"]);
     assert_eq!(out.status.code(), Some(2));
+    // Scans run on threads only: there is no worker subcommand, and no
+    // flag to choose the execution mode.
+    let out = specan(&["worker"]);
+    assert_eq!(out.status.code(), Some(2), "`worker` is not a command");
+    let out = specan(&["scan", PROGRAMS_DIR, "--in-process"]);
+    assert_eq!(out.status.code(), Some(2), "`--in-process` is not a flag");
 }

@@ -147,15 +147,8 @@ fn analyze_incremental_replays_and_tracks_edits() {
 #[test]
 fn scan_session_reuses_unchanged_programs_byte_identically() {
     let scratch = Scratch::new();
-    let session_args = [
-        "scan",
-        ".",
-        "--json",
-        "--in-process",
-        "--session-dir",
-        "session",
-    ];
-    let fresh_args = ["scan", ".", "--json", "--in-process"];
+    let session_args = ["scan", ".", "--json", "--session-dir", "session"];
+    let fresh_args = ["scan", ".", "--json"];
 
     let cold = specan_in(&scratch.0, &session_args);
     assert_eq!(cold.status.code(), Some(1), "cold_lookup leaks: exit 1");

@@ -50,7 +50,7 @@ impl Scratch {
     /// Runs `scan programs --json` with `extra` flags, captures the report
     /// into `out`, and returns the exit code.
     fn scan(&self, out: &str, extra: &[&str]) -> i32 {
-        let mut args = vec!["scan", "programs", "--json", "--in-process"];
+        let mut args = vec!["scan", "programs", "--json"];
         args.extend_from_slice(extra);
         let output = specan_in(&self.0, &args);
         std::fs::write(self.0.join(out), output.stdout).unwrap();

@@ -99,7 +99,7 @@ fn warm_server_responses_match_fresh_one_shot_runs() {
 
         // scan: reports are timing-free, so the comparison is exact — and
         // the exit code (leak gate) must agree too.
-        let fresh = specan(&["scan", &dir, "--cache-lines", "8", "--json", "--in-process"]);
+        let fresh = specan(&["scan", &dir, "--cache-lines", "8", "--json"]);
         let served = server.submit(&["scan", &dir, "--cache-lines", "8", "--json"]);
         assert_eq!(
             served.status.code(),
