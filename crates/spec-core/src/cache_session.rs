@@ -1,11 +1,10 @@
 //! The one caller-facing entry point of the tiered session caches.
 //!
-//! [`crate::incremental::SessionCache`] grew organically into eight public
-//! methods that every holder — the analysis service, `specan analyze
-//! --incremental`, `specan scan --session-dir` — sequenced by hand:
-//! lookup, compare names, prepare, install, persist, enforce.  This module
-//! replaces that sprawl with a single acquire/commit protocol wrapped
-//! around the whole tier stack:
+//! Its holders are the analysis service's worker pool and `specan analyze`
+//! (whose `--incremental` mode attaches the artifact store).  Instead of
+//! sequencing [`crate::incremental::SessionCache`]'s steps by hand —
+//! lookup, compare names, prepare, install, persist, enforce — they use a
+//! single acquire/commit protocol wrapped around the whole tier stack:
 //!
 //! ```text
 //!   L1  the shared SessionCache entry table                 (one mutex)

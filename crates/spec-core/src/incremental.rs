@@ -7,7 +7,7 @@
 //! the code evolves, and before this module every edit threw the whole
 //! session away.
 //!
-//! Three layers, all built on the structural fingerprints of
+//! Two layers, both built on the structural fingerprints of
 //! [`spec_ir::fingerprint`]:
 //!
 //! * [`SessionCache`] — the in-memory core.  It holds one
@@ -24,17 +24,18 @@
 //!   [`SessionCache::max_session_bytes`]: resident entries are byte-
 //!   accounted through [`spec_ir::heap::HeapSize`] and whole programs are
 //!   evicted least-recently-used first, which trades re-preparation for
-//!   memory but never changes a result.
-//! * [`ScanSession`] + [`scan_bundle_incremental`] — cross-process
-//!   persistence for `specan scan --session-dir`.  Fingerprints and the
-//!   previous (deterministic, timing-free) [`BatchReport`] are stored on
-//!   disk; the next scan re-analyses only the programs whose fingerprints
-//!   changed and splices the stored verdicts of the untouched ones back
-//!   into bundle order.
-//! * [`AnalyzeSession`] — output replay for `specan analyze --incremental`,
-//!   keyed on the canonical rendering of the program (which, unlike the
-//!   structural fingerprint, is sensitive to names — `analyze` output
-//!   embeds region and block names) plus the configuration signature.
+//!   memory but never changes a result.  An optional on-disk
+//!   [`PreparedStore`] ([`SessionCache::artifact_store`]) sits below the
+//!   entries: it is the one persistence format for prepared sessions, used
+//!   by `specan serve --artifact-dir` and `specan analyze --incremental`
+//!   alike (the latter through a [`crate::cache_session::CacheSession`]).
+//! * [`scan_bundle_incremental`] — verdict reuse for `specan scan
+//!   --session-dir`.  The session directory holds the previous scan's
+//!   [`BatchReport`], exactly as `scan --json` printed it; the next scan
+//!   re-analyses only the programs whose fingerprints no longer match their
+//!   stored verdicts and splices the untouched verdicts back into bundle
+//!   order.  A verdict is a few hundred bytes where a prepared artifact is
+//!   tens of kilobytes to megabytes, so scans do not go through the store.
 //!
 //! # The bit-identical guarantee
 //!
@@ -44,7 +45,8 @@
 //! stripped: rebinding reuses values that are pure functions of the
 //! (structurally unchanged) program, and recomputation shares the one
 //! deterministic solver with the fresh path.  The `incremental_equivalence`
-//! property suite and the CI `incremental-gate` job hold this line.
+//! property suite and the CLI tests in `tests/cli_incremental.rs` hold this
+//! line.
 //!
 //! [`Report::without_timing`]: crate::session::Report::without_timing
 //!
@@ -92,7 +94,6 @@ use crate::batch::{
     parse_bundle, run_cold, BatchError, BatchReport, BundleProgram, BundleStamp, PanelSpec,
     ProgramVerdict,
 };
-use crate::json::{self, JsonValue};
 use crate::session::{Analyzer, CacheStats, PreparedProgram};
 
 /// Sentinel for "never measured/persisted at any stamp".
@@ -168,7 +169,9 @@ impl SessionEntry {
     }
 }
 
-/// Which tier served a [`SessionCache::lookup_tiered`] hit.
+/// Which tier served a session lookup hit (the tier behind
+/// [`crate::cache_session::CacheOutcome::WarmHit`] and
+/// [`crate::cache_session::CacheOutcome::StoreHit`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionTier {
     /// The in-memory entry table (a warm reuse).
@@ -290,8 +293,8 @@ impl SessionCache {
 
     /// Attaches an on-disk artifact store as a second tier below memory.
     /// Misses consult the store before a cold preparation
-    /// ([`SessionCache::lookup_tiered`], [`SessionCache::update`]),
-    /// installs write through, and budget evictions persist dirty entries
+    /// ([`SessionCache::update`], `CacheSession::acquire`), installs write
+    /// through, and budget evictions persist dirty entries
     /// before dropping them.  The store never changes results: a load is
     /// accepted only when the decoded program compares equal to the
     /// requested one, and every rejected or missing artifact falls back to
@@ -315,11 +318,11 @@ impl SessionCache {
     /// deterministic [`HeapSize`] estimate — see `spec_ir::heap` for what
     /// it counts), evicting whole [`PreparedProgram`]s in least recently
     /// used order whenever an enforcement point finds the session over
-    /// budget.  Enforcement points are [`SessionCache::update`],
-    /// [`SessionCache::install`], and explicit
-    /// [`SessionCache::enforce_budget`] calls (which long-running holders
-    /// make after every request, because running configurations grows the
-    /// memoized artifacts of a resident entry).
+    /// budget.  Enforcement points are [`SessionCache::update`], every
+    /// install of a cold preparation, and the request-boundary
+    /// [`crate::cache_session::CacheSession::checkpoint`] (which long-running
+    /// holders call after every request, because running configurations
+    /// grows the memoized artifacts of a resident entry).
     ///
     /// Eviction never changes results: an evicted program is simply
     /// re-prepared on its next sighting, and the one deterministic solver
@@ -801,113 +804,43 @@ impl Default for SessionCache {
     }
 }
 
-/// Version stamp of the on-disk session formats.  Bumped whenever the
-/// fingerprint encoding or the file layout changes; a mismatch makes the
-/// loader fall back to a cold start (which is always sound — the session is
-/// a pure accelerator).
-///
-/// v2: [`BatchReport`] grew the bundle stamp and per-program fingerprints.
-const SESSION_FORMAT_VERSION: u64 = 2;
-
+/// The file an incremental scan keeps under its session directory: the
+/// previous scan's [`BatchReport`], byte for byte what `specan scan --json`
+/// printed.  Each [`ProgramVerdict`] carries the structural fingerprint it
+/// was computed from, so the report alone keys verdict reuse.
 const SCAN_SESSION_FILE: &str = "scan-session.json";
 
-/// The persisted state of an incremental bundle scan: the previous merged
-/// report plus one structural fingerprint per program, stored as **one**
-/// JSON document under a caller-chosen session directory — one document so
-/// the temp-file-plus-rename replacement is atomic as a whole, and a crash
-/// can never pair fingerprints from one scan with verdicts from another.
-pub struct ScanSession {
-    dir: PathBuf,
+/// Loads the previous scan's verdicts under `dir`, keyed by program name.
+/// Any defect — a missing file, malformed JSON, a panel mismatch — yields
+/// `None` (a cold start), never an error: the session is an accelerator,
+/// and the fallback is a full re-analysis with identical results.
+fn load_scan_session(dir: &Path, panel: PanelSpec) -> Option<HashMap<String, ProgramVerdict>> {
+    let text = std::fs::read_to_string(dir.join(SCAN_SESSION_FILE)).ok()?;
+    let report = BatchReport::from_json(&text).ok()?;
+    if report.panel != panel {
+        return None;
+    }
+    Some(
+        report
+            .programs
+            .into_iter()
+            .map(|verdict| (verdict.report.program.clone(), verdict))
+            .collect(),
+    )
 }
 
-impl ScanSession {
-    /// Opens (without reading) the session stored under `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into() }
-    }
-
-    /// The directory this session persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Loads the previous scan's verdicts and fingerprints, keyed by
-    /// program name.  Any defect — a missing file, malformed JSON, a
-    /// version or panel mismatch — yields `None` (a cold start), never an
-    /// error: the session is an accelerator, and the fallback is simply a
-    /// full re-analysis with identical results.
-    fn load(&self, panel: PanelSpec) -> Option<HashMap<String, (Fingerprint, ProgramVerdict)>> {
-        let text = std::fs::read_to_string(self.dir.join(SCAN_SESSION_FILE)).ok()?;
-        let value = JsonValue::parse(&text).ok()?;
-        if value.get("version").and_then(JsonValue::as_u64) != Some(SESSION_FORMAT_VERSION) {
-            return None;
-        }
-        // The report travels as an embedded JSON string so the whole
-        // session is one atomically-replaced document while reusing
-        // `BatchReport`'s own (de)serialization.
-        let report =
-            BatchReport::from_json(value.get("report").and_then(JsonValue::as_str)?).ok()?;
-        if report.panel != panel {
-            return None;
-        }
-        let mut fingerprints = HashMap::new();
-        for entry in value.get("fingerprints").and_then(JsonValue::as_array)? {
-            let program = entry.get("program").and_then(JsonValue::as_str)?;
-            let fingerprint =
-                Fingerprint::from_hex(entry.get("fingerprint").and_then(JsonValue::as_str)?)?;
-            fingerprints.insert(program.to_string(), fingerprint);
-        }
-        let mut entries = HashMap::new();
-        for verdict in report.programs {
-            if let Some(fingerprint) = fingerprints.get(&verdict.report.program) {
-                // A verdict whose own fingerprint disagrees with the keyed
-                // one is a corrupted pairing; dropping it just re-analyses.
-                if verdict.fingerprint != *fingerprint {
-                    continue;
-                }
-                entries.insert(verdict.report.program.clone(), (*fingerprint, verdict));
-            }
-        }
-        Some(entries)
-    }
-
-    /// Persists `report` and the given per-program fingerprints as one
-    /// document, replacing the previous snapshot atomically (temp file +
-    /// rename): a crashed scan leaves the old session intact, and no crash
-    /// point can mix fingerprints and verdicts from different scans.
-    fn store(
-        &self,
-        report: &BatchReport,
-        fingerprints: &[(String, Fingerprint)],
-    ) -> Result<(), BatchError> {
-        let io_err = |path: &Path| {
-            let path = path.to_path_buf();
-            move |error| BatchError::Io { path, error }
-        };
-        std::fs::create_dir_all(&self.dir).map_err(io_err(&self.dir))?;
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"version\": {SESSION_FORMAT_VERSION},\n"));
-        out.push_str("  \"fingerprints\": [\n");
-        for (i, (program, fingerprint)) in fingerprints.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"program\": {}, \"fingerprint\": {}}}{}\n",
-                json::string(program),
-                json::string(&fingerprint.to_hex()),
-                if i + 1 == fingerprints.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"report\": {}\n}}",
-            json::string(&report.to_json())
-        ));
-        let target = self.dir.join(SCAN_SESSION_FILE);
-        let temp = self
-            .dir
-            .join(format!("{SCAN_SESSION_FILE}.tmp.{}", std::process::id()));
-        std::fs::write(&temp, out).map_err(io_err(&temp))?;
-        std::fs::rename(&temp, &target).map_err(io_err(&target))
-    }
+/// Persists `report` under `dir`, replacing the previous one atomically
+/// (temp file + rename): a crashed scan leaves the old session intact.
+fn store_scan_session(dir: &Path, report: &BatchReport) -> Result<(), BatchError> {
+    let io_err = |path: &Path| {
+        let path = path.to_path_buf();
+        move |error| BatchError::Io { path, error }
+    };
+    std::fs::create_dir_all(dir).map_err(io_err(dir))?;
+    let target = dir.join(SCAN_SESSION_FILE);
+    let temp = dir.join(format!("{SCAN_SESSION_FILE}.tmp.{}", std::process::id()));
+    std::fs::write(&temp, format!("{}\n", report.to_json())).map_err(io_err(&temp))?;
+    std::fs::rename(&temp, &target).map_err(io_err(&target))
 }
 
 /// What an incremental scan did, alongside its (deterministic) report.
@@ -925,11 +858,11 @@ pub struct ScanOutcome {
     pub store_error: Option<BatchError>,
 }
 
-/// Runs a bundle scan against a persisted [`ScanSession`]: programs whose
-/// structural fingerprints match the stored snapshot reuse their stored
-/// verdicts wholesale; only the changed (or new) programs are analysed —
-/// `jobs`-wide, through the same cold per-program step as a fresh scan —
-/// and the refreshed session is written back.
+/// Runs a bundle scan against the report stored under `session_dir` by the
+/// previous scan: programs whose structural fingerprints match their stored
+/// verdicts reuse them wholesale; only the changed (or new) programs are
+/// analysed — `jobs`-wide, through the same cold per-program step as a
+/// fresh scan — and the new report is written back.
 ///
 /// The returned report is **bit-identical** to a fresh
 /// [`crate::batch::run_bundle`] over the same files: stored verdicts are
@@ -940,8 +873,8 @@ pub struct ScanOutcome {
 ///
 /// Files saved *while the scan runs* cannot poison the session: the
 /// programs parsed by [`crate::batch::parse_bundle`] are the programs
-/// analysed — the file is never read twice — so a persisted fingerprint
-/// always keys the verdict of exactly that content.
+/// analysed — the file is never read twice — so a stored verdict's
+/// fingerprint always hashes exactly the content it was computed from.
 ///
 /// # Errors
 ///
@@ -958,7 +891,7 @@ pub fn scan_bundle_incremental(
     files: &[PathBuf],
     panel: PanelSpec,
     jobs: usize,
-    session: &ScanSession,
+    session_dir: &Path,
 ) -> Result<ScanOutcome, BatchError> {
     if files.is_empty() {
         return Err(BatchError::NoPrograms);
@@ -968,29 +901,23 @@ pub fn scan_bundle_incremental(
     // pass's fingerprint with a verdict of newer content.
     let bundle = parse_bundle(files)?;
     let configs = panel.configs()?;
-    let stored = session.load(panel).unwrap_or_default();
+    let stored = load_scan_session(session_dir, panel).unwrap_or_default();
     let hit = |entry: &BundleProgram| {
         stored
             .get(entry.program.name())
-            .filter(|(old, _)| *old == entry.fingerprint)
-            .map(|(_, verdict)| verdict)
+            .filter(|verdict| verdict.fingerprint == entry.fingerprint)
     };
     let misses: Vec<&BundleProgram> = bundle.iter().filter(|entry| hit(entry).is_none()).collect();
     let mut fresh = run_cold(&misses, &configs, jobs)?.into_iter();
 
-    // Splice stored and fresh verdicts back into bundle order.  Every
-    // persisted pairing is sound by construction: a fresh verdict came from
-    // the very program its fingerprint hashes, and a reused one re-matched
-    // the stored fingerprint this scan.
-    let mut programs = Vec::with_capacity(bundle.len());
-    let mut persist: Vec<(String, Fingerprint)> = Vec::with_capacity(bundle.len());
-    for entry in &bundle {
-        programs.push(match hit(entry) {
+    // Splice stored and fresh verdicts back into bundle order.
+    let programs = bundle
+        .iter()
+        .map(|entry| match hit(entry) {
             Some(verdict) => verdict.clone(),
             None => fresh.next().expect("one fresh verdict per miss"),
-        });
-        persist.push((entry.program.name().to_string(), entry.fingerprint));
-    }
+        })
+        .collect();
     // Stamp against the full bundle, exactly as a fresh `run_bundle` would:
     // the checksum folds the fingerprint pass this scan already ran.
     let report = BatchReport {
@@ -998,153 +925,13 @@ pub fn scan_bundle_incremental(
         stamp: BundleStamp::new(panel, bundle.iter().map(|entry| entry.fingerprint), 0),
         programs,
     };
-    let reused = bundle.len() - misses.len();
-    let store_error = session.store(&report, &persist).err();
+    let store_error = store_scan_session(session_dir, &report).err();
     Ok(ScanOutcome {
         report,
-        reused,
+        reused: bundle.len() - misses.len(),
         analyzed: misses.len(),
         store_error,
     })
-}
-
-/// Replay store for `specan analyze --incremental`: rendered outputs keyed
-/// by the canonical program text plus a configuration signature.
-///
-/// Unlike the structural fingerprints driving [`ScanSession`], these keys
-/// are **name-sensitive** — `analyze` output embeds region and block names,
-/// so a rename must invalidate the stored rendering.  They remain
-/// insensitive to comments and whitespace, because the key hashes the
-/// canonical `Display` rendering of the parsed program rather than the
-/// source bytes.
-pub struct AnalyzeSession {
-    dir: PathBuf,
-    /// Optional byte budget over the stored renderings (`--max-session-bytes`
-    /// on `specan analyze --incremental`); pruning drops least recently
-    /// *used* entries first, exactly like the in-memory cache.
-    max_bytes: Option<u64>,
-}
-
-/// How many renderings [`AnalyzeSession`] keeps before pruning the oldest.
-/// Every distinct (program text, flag signature) pair stores one file, so
-/// an hours-long edit loop would otherwise grow the directory with every
-/// keystroke-level edit; the bound keeps it at "recent history" size.
-const ANALYZE_STORE_CAP: usize = 512;
-
-impl AnalyzeSession {
-    /// Opens (without reading) the replay store under `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            max_bytes: None,
-        }
-    }
-
-    /// Additionally bounds the store to at most `bytes` of stored output
-    /// (on top of the [`ANALYZE_STORE_CAP`] entry count): pruning removes
-    /// the least recently used renderings until the rest fit.  Like every
-    /// session bound, this only costs replays, never correctness.
-    pub fn max_session_bytes(mut self, bytes: u64) -> Self {
-        self.max_bytes = Some(bytes);
-        self
-    }
-
-    /// The directory this session persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The replay key of `program` analysed under `signature` (a caller-
-    /// built stable rendering of every configuration knob that shapes the
-    /// output, including the output format itself).
-    pub fn key(program: &Program, signature: &str) -> Fingerprint {
-        let mut bytes = program.to_string().into_bytes();
-        bytes.push(0);
-        bytes.extend_from_slice(signature.as_bytes());
-        bytes.extend_from_slice(&SESSION_FORMAT_VERSION.to_le_bytes());
-        Fingerprint::of_bytes(&bytes)
-    }
-
-    fn path_of(&self, key: Fingerprint) -> PathBuf {
-        self.dir.join(format!("analyze-{}.out", key.to_hex()))
-    }
-
-    /// The stored rendering for `key`, if any.  A hit refreshes the file's
-    /// modification time (best-effort) so [`AnalyzeSession::store`]'s
-    /// pruning evicts by recency of *use*, not of creation — a hot replay
-    /// must outlive a churn of never-replayed entries.
-    pub fn lookup(&self, key: Fingerprint) -> Option<String> {
-        let path = self.path_of(key);
-        let output = std::fs::read_to_string(&path).ok()?;
-        if let Ok(file) = std::fs::File::options().append(true).open(&path) {
-            let now = std::time::SystemTime::now();
-            let _ = file.set_times(std::fs::FileTimes::new().set_modified(now));
-        }
-        Some(output)
-    }
-
-    /// Stores `output` under `key` (atomically: temp file + rename) and
-    /// prunes the oldest renderings beyond [`ANALYZE_STORE_CAP`], so the
-    /// store tracks recent edit history instead of growing without bound.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; callers may treat them as non-fatal —
-    /// a store that fails only costs the next replay.
-    pub fn store(&self, key: Fingerprint, output: &str) -> std::io::Result<()> {
-        // The temp name carries a process-wide counter on top of the pid:
-        // two suite threads storing the same key (a bundle with duplicate
-        // program text) must never share a temp file, or one thread's
-        // rename could publish the other's half-written content.
-        static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        std::fs::create_dir_all(&self.dir)?;
-        let target = self.path_of(key);
-        let temp = self.dir.join(format!(
-            "analyze-{}.tmp.{}.{}",
-            key.to_hex(),
-            std::process::id(),
-            STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        std::fs::write(&temp, output)?;
-        std::fs::rename(&temp, &target)?;
-        self.prune();
-        Ok(())
-    }
-
-    /// Removes the least recently used stored renderings (by modification
-    /// time — refreshed on every replay) beyond the entry cap and, when a
-    /// byte budget is set, beyond it too.  Best-effort: pruning failures
-    /// are invisible — a stale entry costs disk, never correctness.
-    fn prune(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let mut outputs: Vec<(std::time::SystemTime, u64, PathBuf)> = entries
-            .flatten()
-            .filter_map(|entry| {
-                let path = entry.path();
-                let name = path.file_name()?.to_str()?;
-                if !name.starts_with("analyze-") || !name.ends_with(".out") {
-                    return None;
-                }
-                let meta = entry.metadata().ok()?;
-                Some((meta.modified().ok()?, meta.len(), path))
-            })
-            .collect();
-        outputs.sort();
-        let mut resident: u64 = outputs.iter().map(|(_, bytes, _)| bytes).sum();
-        let mut drop = 0;
-        while drop < outputs.len()
-            && (outputs.len() - drop > ANALYZE_STORE_CAP
-                || self.max_bytes.is_some_and(|budget| resident > budget))
-        {
-            resident -= outputs[drop].1;
-            drop += 1;
-        }
-        for (_, _, path) in &outputs[..drop] {
-            let _ = std::fs::remove_file(path);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1154,7 +941,6 @@ mod tests {
     use crate::session::comparison_configs;
     use spec_cache::CacheConfig;
     use spec_ir::builder::ProgramBuilder;
-    use spec_ir::text::parse_program;
     use spec_ir::IndexExpr;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1501,7 +1287,7 @@ mod tests {
         let a = scratch.write("a.spec", &spec_source("alpha", 0));
         let b = scratch.write("b.spec", &spec_source("beta", 0));
         let files = vec![a.clone(), b.clone()];
-        let session = ScanSession::new(scratch.0.join("session"));
+        let session = scratch.0.join("session");
 
         let cold = scan_bundle_incremental(&files, leak_panel(), 1, &session).unwrap();
         assert_eq!((cold.reused, cold.analyzed), (0, 2));
@@ -1534,7 +1320,7 @@ mod tests {
         let scratch = Scratch::new();
         let a = scratch.write("a.spec", &spec_source("alpha", 0));
         let files = vec![a];
-        let session = ScanSession::new(scratch.0.join("session"));
+        let session = scratch.0.join("session");
         scan_bundle_incremental(&files, leak_panel(), 1, &session).unwrap();
 
         // A different panel must not reuse leak-check verdicts.
@@ -1546,7 +1332,7 @@ mod tests {
         assert_eq!((outcome.reused, outcome.analyzed), (0, 1));
 
         // Corrupt the stored session: the next scan degrades to cold.
-        std::fs::write(session.dir().join(SCAN_SESSION_FILE), "not json").unwrap();
+        std::fs::write(session.join(SCAN_SESSION_FILE), "not json").unwrap();
         let outcome = scan_bundle_incremental(&files, other, 1, &session).unwrap();
         assert_eq!((outcome.reused, outcome.analyzed), (0, 1));
         // ...and the rewritten session is healthy again.
@@ -1561,9 +1347,8 @@ mod tests {
         // A *file* where the session directory should be: create_dir_all
         // fails, so the write-back cannot succeed — but the scan must.
         let blocked = scratch.write("blocked", "not a directory");
-        let session = ScanSession::new(&blocked);
         let outcome =
-            scan_bundle_incremental(std::slice::from_ref(&a), leak_panel(), 1, &session).unwrap();
+            scan_bundle_incremental(std::slice::from_ref(&a), leak_panel(), 1, &blocked).unwrap();
         assert!(outcome.store_error.is_some(), "the store failure surfaces");
         assert_eq!((outcome.reused, outcome.analyzed), (0, 1));
         let fresh = run_bundle(&[a], leak_panel(), 1).unwrap();
@@ -1571,169 +1356,69 @@ mod tests {
     }
 
     #[test]
-    fn analyze_store_prunes_beyond_the_cap() {
+    fn corrupt_stored_entries_cold_start_instead_of_replaying() {
         let scratch = Scratch::new();
-        let session = AnalyzeSession::new(scratch.0.join("analyze"));
-        for i in 0..ANALYZE_STORE_CAP + 8 {
-            session.store(Fingerprint(i as u64), "output").unwrap();
-        }
-        let stored = std::fs::read_dir(session.dir())
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".out"))
-            .count();
-        assert_eq!(stored, ANALYZE_STORE_CAP, "the cap holds");
-    }
+        let store_dir = scratch.0.join("artifacts");
+        let open = || SessionCache::new().artifact_store(PreparedStore::open(&store_dir));
+        let p = program("a", 0);
+        open().update(&p);
 
-    /// Pins every stored rendering's modification time to a distinct past
-    /// instant (older for lower indices), so pruning order is a pure
-    /// function of the test's subsequent lookups.
-    fn age_stored_outputs(session: &AnalyzeSession, keys: &[Fingerprint]) {
-        for (i, key) in keys.iter().enumerate() {
-            let path = session.dir().join(format!("analyze-{}.out", key.to_hex()));
-            let stamp = std::time::SystemTime::UNIX_EPOCH
-                + std::time::Duration::from_secs(1_000_000 + i as u64);
-            let file = std::fs::File::options().append(true).open(&path).unwrap();
-            file.set_times(std::fs::FileTimes::new().set_modified(stamp))
-                .unwrap();
-        }
-    }
-
-    fn stored_keys(session: &AnalyzeSession) -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(session.dir())
-            .unwrap()
-            .flatten()
-            .map(|entry| entry.file_name().to_string_lossy().into_owned())
-            .filter(|name| name.ends_with(".out"))
-            .collect();
-        names.sort();
-        names
+        // Corrupt the stored artifact in place: the next cache must miss
+        // the store and prepare cold — not crash or decode garbage — and
+        // its write-through heals the entry.
+        let artifact = PreparedStore::open(&store_dir)
+            .store()
+            .path_for(program_fingerprint(&p).0);
+        std::fs::write(&artifact, [0xff, 0xfe, 0x00, 0x9f]).unwrap();
+        let mut recovering = open();
+        assert!(!recovering.update(&p).reused);
+        let stats = recovering.stats();
+        assert_eq!((stats.store_hits, stats.store_misses), (0, 1));
+        let mut healed = open();
+        healed.update(&p);
+        assert_eq!(healed.stats().store_hits, 1, "the write-through healed it");
     }
 
     #[test]
     fn analyze_store_prunes_by_recency_of_use_not_creation() {
         let scratch = Scratch::new();
-        let session = AnalyzeSession::new(scratch.0.join("analyze"));
-        let keys: Vec<Fingerprint> = (0..ANALYZE_STORE_CAP as u64).map(Fingerprint).collect();
-        for key in &keys {
-            session.store(*key, "output").unwrap();
+        let store_dir = scratch.0.join("artifacts");
+        let [a, b, c] = [("a", 8), ("b", 16), ("c", 24)].map(|(name, off)| program(name, off));
+        let mut writer = SessionCache::new().artifact_store(PreparedStore::open(&store_dir));
+        writer.update(&a);
+        writer.update(&b);
+
+        // Pin `a` (created first) and `b` to distinct past instants, `a`
+        // older, so pruning order is a pure function of the loads below.
+        let store = PreparedStore::open(&store_dir);
+        let path = |p: &Program| store.store().path_for(program_fingerprint(p).0);
+        for (i, p) in [&a, &b].into_iter().enumerate() {
+            let stamp = std::time::SystemTime::UNIX_EPOCH
+                + std::time::Duration::from_secs(1_000_000 + i as u64);
+            let file = std::fs::File::options().append(true).open(path(p)).unwrap();
+            file.set_times(std::fs::FileTimes::new().set_modified(stamp))
+                .unwrap();
         }
-        age_stored_outputs(&session, &keys);
+        let bytes = |p: &Program| std::fs::metadata(path(p)).unwrap().len();
+        // Room for two of the three equally shaped artifacts.
+        let budget = bytes(&a) + bytes(&b) + bytes(&a) / 2;
 
-        // Replaying the *oldest-created* entry refreshes its recency...
-        assert_eq!(session.lookup(keys[0]).as_deref(), Some("output"));
-        // ...so the next over-cap store evicts entry 1 (now the LRU),
-        // never the hot entry 0.
-        session
-            .store(Fingerprint(ANALYZE_STORE_CAP as u64 + 7), "new")
-            .unwrap();
-        let names = stored_keys(&session);
-        assert_eq!(names.len(), ANALYZE_STORE_CAP, "the cap holds");
+        // Loading the *oldest-created* artifact refreshes its recency...
+        let mut reader = SessionCache::new()
+            .artifact_store(PreparedStore::open(&store_dir).max_store_bytes(budget));
+        reader.update(&a);
+        assert_eq!(reader.stats().store_hits, 1);
+        // ...so the save that overflows the budget evicts `b` (now the
+        // least recently used), never the hot `a`.
+        reader.update(&c);
         assert!(
-            names.contains(&format!("analyze-{}.out", keys[0].to_hex())),
-            "the replayed entry survives the churn"
+            path(&a).exists(),
+            "the reloaded artifact survives the churn"
         );
         assert!(
-            !names.contains(&format!("analyze-{}.out", keys[1].to_hex())),
-            "the least recently used entry is the victim"
+            !path(&b).exists(),
+            "the least recently used artifact is the victim"
         );
-    }
-
-    #[test]
-    fn analyze_store_byte_budget_prunes_least_recently_used_first() {
-        let scratch = Scratch::new();
-        // Four 100-byte renderings stored unbounded, then re-opened under
-        // a 250-byte budget: the next store keeps only the two most
-        // recently used.
-        let unbounded = AnalyzeSession::new(scratch.0.join("analyze"));
-        let keys: Vec<Fingerprint> = (0..4u64).map(Fingerprint).collect();
-        let output = "x".repeat(100);
-        for key in &keys {
-            unbounded.store(*key, &output).unwrap();
-        }
-        age_stored_outputs(&unbounded, &keys);
-        let session = AnalyzeSession::new(scratch.0.join("analyze")).max_session_bytes(250);
-        // A refresh pulls entry 0 ahead of 1 and 2 before the next store
-        // triggers pruning.
-        assert!(session.lookup(keys[0]).is_some());
-        session.store(Fingerprint(9), &output).unwrap();
-        let names = stored_keys(&session);
-        assert_eq!(names.len(), 2, "250 bytes hold two 100-byte entries");
-        assert!(names.contains(&format!("analyze-{}.out", keys[0].to_hex())));
-        assert!(names.contains(&format!("analyze-{}.out", Fingerprint(9).to_hex())));
-    }
-
-    #[test]
-    fn corrupt_stored_entries_cold_start_instead_of_replaying() {
-        let scratch = Scratch::new();
-        let session = AnalyzeSession::new(scratch.0.join("analyze"));
-        let key = Fingerprint(42);
-        session.store(key, "good output").unwrap();
-        // Corrupt the stored rendering in place (invalid UTF-8): the next
-        // lookup must miss — a cold re-analysis — not crash or replay
-        // garbage, and a fresh store heals the entry.
-        let path = session.dir().join(format!("analyze-{}.out", key.to_hex()));
-        std::fs::write(&path, [0xff, 0xfe, 0x00, 0x9f]).unwrap();
-        assert_eq!(session.lookup(key), None, "corruption degrades to a miss");
-        session.store(key, "fresh output").unwrap();
-        assert_eq!(session.lookup(key).as_deref(), Some("fresh output"));
-    }
-
-    #[test]
-    fn identical_programs_under_different_signatures_never_collide() {
-        let scratch = Scratch::new();
-        let session = AnalyzeSession::new(scratch.0.join("analyze"));
-        let p = program("a", 0);
-        // One program text, two flag signatures: distinct keys, distinct
-        // replays — a stored JSON rendering must never answer a text
-        // request (the rename-stale-flags twin of the rename-stale-names
-        // class).
-        let json_key = AnalyzeSession::key(&p, "json:8");
-        let text_key = AnalyzeSession::key(&p, "text:8");
-        assert_ne!(json_key, text_key);
-        session.store(json_key, "json rendering").unwrap();
-        assert_eq!(
-            session.lookup(text_key),
-            None,
-            "a different signature must miss"
-        );
-        session.store(text_key, "text rendering").unwrap();
-        assert_eq!(session.lookup(json_key).as_deref(), Some("json rendering"));
-        assert_eq!(session.lookup(text_key).as_deref(), Some("text rendering"));
-
-        // And a *reparsed* copy of the same program (identical canonical
-        // text) under the same signature intentionally shares the key —
-        // that is the replay hit the store exists for.
-        let reparsed = parse_program(&p.to_string()).unwrap();
-        assert_eq!(AnalyzeSession::key(&reparsed, "json:8"), json_key);
-    }
-
-    #[test]
-    fn analyze_session_replays_by_canonical_text_and_signature() {
-        let scratch = Scratch::new();
-        let session = AnalyzeSession::new(scratch.0.join("analyze"));
-        let p = program("a", 0);
-        let key = AnalyzeSession::key(&p, "json:8");
-        assert_eq!(session.lookup(key), None);
-        session.store(key, "rendered output").unwrap();
-        assert_eq!(session.lookup(key).as_deref(), Some("rendered output"));
-
-        // The key is insensitive to a re-parse round-trip...
-        let reparsed = parse_program(&p.to_string()).unwrap();
-        assert_eq!(AnalyzeSession::key(&reparsed, "json:8"), key);
-        // ...sensitive to the configuration signature...
-        assert_ne!(AnalyzeSession::key(&p, "text:8"), key);
-        // ...and sensitive to renames (analyze output embeds names).
-        let mut renamed = ProgramBuilder::new("a");
-        let t = renamed.region("t_v2", 256, false);
-        let k = renamed.secret_region("k", 8);
-        let entry = renamed.entry_block("entry");
-        renamed.load(entry, t, IndexExpr::Const(0));
-        renamed.load(entry, k, IndexExpr::Const(0));
-        renamed.ret(entry);
-        assert_ne!(
-            AnalyzeSession::key(&renamed.finish().unwrap(), "json:8"),
-            key
-        );
+        assert!(path(&c).exists(), "the newcomer is stored");
     }
 }

@@ -93,9 +93,7 @@ pub use artifact::{options_signature, PreparedStore};
 pub use batch::{BatchError, BatchReport, BundleStamp, PanelKind, PanelSpec};
 pub use cache_session::{AcquireStats, CacheOutcome, CacheSession, PrepareGuard};
 pub use classify::{AccessInfo, AnalysisResult};
-pub use incremental::{
-    ScanOutcome, ScanSession, SessionCache, SessionStats, SessionTier, SessionUpdate,
-};
+pub use incremental::{ScanOutcome, SessionCache, SessionStats, SessionTier, SessionUpdate};
 pub use options::{AnalysisOptions, AnalysisOptionsBuilder, OptionsError};
 pub use session::{
     Analyzer, CacheStats, MergeError, PreparedProgram, Report, ReportRow, Suite, SuiteRun,

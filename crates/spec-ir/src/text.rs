@@ -1,5 +1,6 @@
-//! Parser for the textual program format emitted by the [`Display`]
-//! implementation of [`Program`] (see [`crate::display`]).
+//! Parser for the textual program format emitted by the
+//! [`Display`](std::fmt::Display) implementation of [`Program`] (see
+//! [`crate::display`]).
 //!
 //! The grammar is line-based:
 //!

@@ -29,15 +29,16 @@
 //! Common options: `--cache-lines N` (default 512) and `--json` (emit
 //! machine-readable output).  `analyze` additionally accepts `--baseline`,
 //! `--no-shadow`, `--merge-at-rollback`, `--no-unroll` and `--incremental`
-//! (replay unchanged programs from a session directory, default
-//! `.specan-session`, overridable with `--session-dir`).  Bundle-aware
+//! (keep prepared sessions in an artifact store between runs: directory
+//! `--artifact-dir DIR`, alias `--session-dir DIR`, default
+//! `.specan-session`; `--max-session-bytes B` bounds it).  Bundle-aware
 //! commands (`analyze`, `compare`, `scan`) accept several files, `--jobs N`
 //! (parallelism cap) and `--shard K/N` (run the K-th of N contiguous slices
 //! of the sorted file list — for splitting one bundle across CI machines).
 //! `scan` also accepts directories (searched recursively for `*.spec`),
 //! `--panel <leak-check|comparison>` and `--session-dir DIR` (incremental:
 //! re-analyse only the programs whose structural fingerprints changed since
-//! the last scan against the same directory); its JSON report is
+//! the last scan, whose JSON report the directory keeps); its JSON report is
 //! deterministic — bit-identical whatever `--jobs` is, however the bundle
 //! was sharded, and whether or not a session replayed parts of it.
 //!
@@ -60,7 +61,7 @@ use spec_analysis::detect_leaks;
 use spec_cache::CacheConfig;
 use spec_core::batch::{self, discover_programs, run_bundle_slice, PanelKind, PanelSpec};
 use spec_core::gateway::{self, GatewayConfig};
-use spec_core::incremental::{scan_bundle_incremental, AnalyzeSession, ScanSession, SessionCache};
+use spec_core::incremental::{scan_bundle_incremental, SessionCache};
 use spec_core::service::{
     self, AnalyzeConfig, ClientOptions, Request, ServiceClient, ServiceConfig,
 };
@@ -124,12 +125,13 @@ struct Cli {
     connect_timeout_ms: Option<u64>,
     /// `gateway`: read deadline on forwarded requests in milliseconds.
     request_timeout_ms: Option<u64>,
-    /// `analyze`/`scan`: where incremental session state lives.
+    /// `analyze`/`scan`: where incremental session state lives (for
+    /// `analyze`, an alias of `--artifact-dir`).
     session_dir: Option<PathBuf>,
-    /// `analyze`: replay unchanged programs from the session directory.
+    /// `analyze`: keep prepared sessions in an artifact store between runs.
     incremental: bool,
     /// `serve`/`analyze --incremental`: byte budget on session state —
-    /// warm in-memory sessions for `serve`, the on-disk replay store for
+    /// warm in-memory sessions for `serve`, the on-disk artifact store for
     /// `analyze`.  Evictions trade recomputation for memory, never output.
     max_session_bytes: Option<u64>,
     /// `serve`/`analyze --incremental`/`artifacts`: where the persistent
@@ -154,13 +156,14 @@ fn usage() -> String {
      \n\
      analyze   run one configuration and print the per-access classification\n\
      \x20         [--baseline] [--no-shadow] [--merge-at-rollback] [--no-unroll]\n\
-     \x20         [--jobs N] [--shard K/N] [--incremental [--session-dir DIR]\n\
-     \x20         [--max-session-bytes N] [--artifact-dir DIR]];\n\
+     \x20         [--jobs N] [--shard K/N] [--incremental [--artifact-dir DIR]\n\
+     \x20         [--max-session-bytes N]];\n\
      \x20         several files allowed (JSON output becomes an array);\n\
-     \x20         --incremental replays byte-identical output for programs\n\
-     \x20         unchanged since the last run against the session directory\n\
-     \x20         (default .specan-session; replayed output carries the\n\
-     \x20         original run's timing fields)\n\
+     \x20         --incremental keeps prepared sessions in an artifact store\n\
+     \x20         (default .specan-session; --session-dir DIR is an alias of\n\
+     \x20         --artifact-dir), so an unchanged program loads warm and an\n\
+     \x20         edited one reuses its predecessor's block summaries; output\n\
+     \x20         never changes.  --max-session-bytes N bounds the store\n\
      compare   prepare once, run the standard configuration panel in parallel\n\
      \x20         [--jobs N] [--shard K/N]; several files allowed (JSON output\n\
      \x20         becomes the merged batch report)\n\
@@ -173,7 +176,8 @@ fn usage() -> String {
      \x20         [--panel <leak-check|comparison>] [--session-dir DIR];\n\
      \x20         with --session-dir only programs whose structural\n\
      \x20         fingerprints changed since the last scan are re-analysed\n\
-     \x20         (the merged report stays bit-identical to a fresh scan)\n\
+     \x20         (the merged report stays bit-identical to a fresh scan;\n\
+     \x20         DIR/scan-session.json holds the last --json report)\n\
      merge     verified fan-in of sharded scan/compare artifacts: checks the\n\
      \x20         slices share one bundle checksum and tile it completely,\n\
      \x20         then prints the merged report; exits 1 if any program\n\
@@ -526,6 +530,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 ));
             }
         }
+        Command::Analyze if cli.session_dir.is_some() && cli.artifact_dir.is_some() => {
+            return Err(format!(
+                "`analyze --session-dir` is an alias of `--artifact-dir`: pass one\n{}",
+                usage()
+            ));
+        }
         Command::Analyze if cli.session_dir.is_some() && !cli.incremental => {
             return Err(format!(
                 "`analyze --session-dir` needs `--incremental`\n{}",
@@ -542,7 +552,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         Command::Analyze if cli.max_session_bytes.is_some() && !cli.incremental => {
             return Err(format!(
                 "`analyze --max-session-bytes` needs `--incremental` (it bounds \
-                 the replay store)\n{}",
+                 the artifact store)\n{}",
                 usage()
             ));
         }
@@ -646,59 +656,33 @@ fn print_banner(cli: &Cli, program: &Program) {
     }
 }
 
-/// The configuration knobs that shape `analyze` output, rendered stably —
-/// the replay key of the incremental session covers the program text *and*
-/// this signature, so a flag change can never replay a stale rendering.
-fn analyze_signature(cli: &Cli) -> String {
-    format!(
-        "json={};lines={};baseline={};shadow={};mar={};unroll={}",
-        cli.json, cli.cache_lines, cli.baseline, cli.shadow, cli.merge_at_rollback, cli.unroll
-    )
-}
-
 /// One `analyze` unit of work: its rendered output (text or JSON object),
-/// replayed from `session` when the program is unchanged since the output
-/// was stored, rendered through the shared service-layer path otherwise.
+/// rendered through the shared service-layer path from a prepared session
+/// that `sessions` resolves warm, from its artifact store, or cold.
 fn analyze_one(
     cli: &Cli,
     path: &std::path::Path,
-    session: Option<&AnalyzeSession>,
     sessions: &CacheSession,
 ) -> Result<String, String> {
     let config = analyze_config(cli);
     config.options()?; // surface configuration errors before any analysis
     let program = load_program(&path.display().to_string())?;
-    let key = session.map(|session| {
-        let key = AnalyzeSession::key(&program, &analyze_signature(cli));
-        (session, key)
-    });
-    if let Some((session, key)) = &key {
-        if let Some(stored) = session.lookup(*key) {
-            // Replayed byte-for-byte — including the original run's timing
-            // fields, which a CI diff strips anyway.
-            eprintln!("session: replayed `{}`", path.display());
-            return Ok(stored);
-        }
+    // Acquires are name-exact (`analyze` output embeds region and block
+    // names), so a renamed program prepares cold and overwrites the
+    // artifact.
+    let outcome = sessions.acquire(&program);
+    if cli.incremental {
+        eprintln!("session: {} `{}`", outcome.tag(), path.display());
     }
-    // The output replay missed (new program, or a flag change).  The
-    // *prepared session* — which is flag-independent — may still be warm
-    // in this run's shared front or, with `--artifact-dir`, on disk; an
-    // acquire resolves the tiers in that order.  Acquires are name-exact
-    // (`analyze` output embeds region and block names), so a renamed
-    // program prepares cold and overwrites the artifact.
-    let prepared = match sessions.acquire(&program) {
-        CacheOutcome::WarmHit(prepared) => prepared,
-        CacheOutcome::StoreHit(prepared) => {
-            eprintln!("artifacts: loaded `{}` from the store", path.display());
-            prepared
-        }
+    let prepared = match outcome {
+        CacheOutcome::WarmHit(prepared) | CacheOutcome::StoreHit(prepared) => prepared,
         CacheOutcome::NeedsPrepare(guard) => guard.prepare(&program),
     };
     let output = service::analyze_output(&prepared, &config)?;
     // Compositional-reuse accounting: when this preparation was seeded from
     // a donor (in-memory predecessor or the store's name index), say how
-    // many block summaries were transplanted vs re-solved — the line CI
-    // greps to prove an incremental edit did *not* redo the whole fixpoint.
+    // many block summaries were transplanted vs re-solved — the line that
+    // proves an incremental edit did *not* redo the whole fixpoint.
     let stats = prepared.cache_stats();
     if stats.summary_hits > 0 || stats.summaries_invalidated > 0 {
         eprintln!(
@@ -714,17 +698,6 @@ fn analyze_one(
     // (any flags) replays them from disk.  Writes are best-effort: a
     // failure only costs warmth, never the output.
     sessions.checkpoint();
-    if let Some((session, key)) = key {
-        eprintln!("session: analysed `{}`", path.display());
-        if let Err(err) = session.store(key, &output) {
-            // A failed store only costs the next replay; say so and go on.
-            eprintln!(
-                "session: warning: cannot store `{}` in {}: {err}",
-                path.display(),
-                session.dir().display()
-            );
-        }
-    }
     Ok(output)
 }
 
@@ -754,26 +727,25 @@ fn cmd_analyze(cli: &Cli) -> Result<u8, String> {
     let (bundle, range) = select_bundle(cli)?;
     let files = bundle[range].to_vec();
     echo_jobs(cli, effective_jobs(cli));
-    let session = cli.incremental.then(|| {
-        let session = AnalyzeSession::new(
-            cli.session_dir
-                .clone()
-                .unwrap_or_else(|| PathBuf::from(DEFAULT_SESSION_DIR)),
-        );
-        match cli.max_session_bytes {
-            Some(bytes) => session.max_session_bytes(bytes),
-            None => session,
-        }
-    });
     // One shared tier front for the whole bundle: a re-listed program is
-    // served warm, and `--artifact-dir` attaches the on-disk tier below it.
+    // served warm, and `--incremental` attaches the on-disk artifact tier
+    // below it.
     let mut cache = SessionCache::with_analyzer(Analyzer::new());
-    if let Some(dir) = &cli.artifact_dir {
-        cache = cache.artifact_store(PreparedStore::open(dir.clone()));
+    if cli.incremental {
+        let dir = cli
+            .artifact_dir
+            .clone()
+            .or_else(|| cli.session_dir.clone())
+            .unwrap_or_else(|| PathBuf::from(DEFAULT_SESSION_DIR));
+        let mut store = PreparedStore::open(dir);
+        if let Some(bytes) = cli.max_session_bytes {
+            store = store.max_store_bytes(bytes);
+        }
+        cache = cache.artifact_store(store);
     }
     let sessions = CacheSession::new(cache);
     let outputs = batch::fan_out_catching(&files, effective_jobs(cli), |path| {
-        analyze_one(cli, path, session.as_ref(), &sessions)
+        analyze_one(cli, path, &sessions)
     })
     .into_iter()
     .zip(&files)
@@ -909,20 +881,19 @@ fn cmd_scan(cli: &Cli) -> Result<u8, String> {
         Some(dir) => {
             // `--shard` is rejected with `--session-dir` at parse time, so
             // the slice is always the whole bundle here.
-            let session = ScanSession::new(dir);
-            let outcome = scan_bundle_incremental(&bundle, panel, jobs, &session)
+            let outcome = scan_bundle_incremental(&bundle, panel, jobs, dir)
                 .map_err(|err| err.to_string())?;
             eprintln!(
                 "session: {} program(s) reused, {} analysed ({})",
                 outcome.reused,
                 outcome.analyzed,
-                session.dir().display()
+                dir.display()
             );
             if let Some(err) = outcome.store_error {
                 // Losing the warm start must not cost the leak verdict.
                 eprintln!(
                     "session: warning: cannot persist session in {}: {err}",
-                    session.dir().display()
+                    dir.display()
                 );
             }
             outcome.report

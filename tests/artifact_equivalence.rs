@@ -362,17 +362,12 @@ fn artifacts_verify_flags_corruption_and_gc_sweeps_the_quarantine() {
     let spec = scratch.write("clip.spec", &source);
     let spec_str = spec.to_str().unwrap();
 
-    // Populate the store through the CLI's own incremental path.  Each
-    // call gets a fresh output-session directory so the output replay
-    // never short-circuits the artifact-store path under test.
+    // Populate the store through the CLI's own incremental path.
     let analyze = |label: &str| {
-        let session_dir = scratch.dir().join(format!("session-{label}"));
         let out = specan(&[
             "analyze",
             spec_str,
             "--incremental",
-            "--session-dir",
-            session_dir.to_str().unwrap(),
             "--artifact-dir",
             &artifact_dir_str,
             "--cache-lines",
